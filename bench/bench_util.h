@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -22,6 +23,17 @@
 #ifndef CLUERT_GIT_SHA
 #define CLUERT_GIT_SHA "unknown"
 #endif
+// Build provenance, baked in the same way: CMake build type, compiler id and
+// version, and the C++ flags that build type compiles with.
+#ifndef CLUERT_BUILD_TYPE
+#define CLUERT_BUILD_TYPE "unknown"
+#endif
+#ifndef CLUERT_COMPILER
+#define CLUERT_COMPILER "unknown"
+#endif
+#ifndef CLUERT_CXX_FLAGS
+#define CLUERT_CXX_FLAGS "unknown"
+#endif
 
 namespace cluert::bench {
 
@@ -31,6 +43,21 @@ namespace cluert::bench {
 // silently comparing apples to oranges.
 inline constexpr int kBenchSchemaVersion = 1;
 
+// The CPU model string ("model name" in /proc/cpuinfo), or "unknown" where
+// that file does not exist or does not say.
+inline std::string cpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t b = line.find_first_not_of(' ', colon + 1);
+    return b == std::string::npos ? "unknown" : line.substr(b);
+  }
+  return "unknown";
+}
+
 // Minimal streaming JSON writer shared by the experiment binaries. Every
 // document opens with the same provenance header — bench name, schema
 // version, git SHA — which is the point of centralising it: artifacts from
@@ -39,20 +66,26 @@ class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out) : out_(out) {}
 
-  // Opens the root object and stamps the provenance header. Hostname and
-  // CPU count identify the machine behind a number — a pps regression that
-  // is really "ran on the small box" should be visible from the artifact
-  // alone.
+  // Opens the root object and stamps the provenance header. The build
+  // (type, CLUERT_TRACE, compiler, flags) says which code produced a
+  // number; hostname, CPU model and CPU count identify the machine behind
+  // it — a pps regression that is really "ran a debug build" or "ran on the
+  // small box" should be visible from the artifact alone.
   void beginDocument(std::string_view bench) {
     beginObject();
     field("bench", bench);
     field("schema_version", static_cast<std::uint64_t>(kBenchSchemaVersion));
     field("git_sha", std::string_view(CLUERT_GIT_SHA));
+    field("build_type", std::string_view(CLUERT_BUILD_TYPE));
+    field("cluert_trace", obs::kTraceCompiled);
+    field("compiler", std::string_view(CLUERT_COMPILER));
+    field("cxx_flags", std::string_view(CLUERT_CXX_FLAGS));
     char host[256] = {};
     if (::gethostname(host, sizeof host - 1) != 0) {
       std::snprintf(host, sizeof host, "unknown");
     }
     field("hostname", std::string_view(host));
+    field("cpu_model", cpuModel());
     field("cpus", static_cast<std::uint64_t>(
                       std::thread::hardware_concurrency()));
   }

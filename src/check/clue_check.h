@@ -32,6 +32,18 @@
 //                            silently miss (§3.4 is why entries are marked
 //                            inactive instead of removed)
 //   size-mismatch            (hash table only) stored size != valid slots
+//
+// Slot encoding (checked on every valid slot, active or not, before it is
+// decoded — see core::ClueSlot):
+//   fd-longer-than-clue      the FD length exceeds the clue length (the FD
+//                            is the clue's BMP, so it is one of its prefixes)
+//   case3-cont-mismatch      the case bits say case 3 but the Ptr names no
+//                            continuation, or a continuation hangs off a
+//                            case-1/2 slot
+//   ptr-flag-mismatch        the Ptr-empty flag disagrees with whether the
+//                            slot names a continuation (the data plane
+//                            would read a continuation that is not there)
+//   cont-index-out-of-range  the Ptr indexes past the continuation vector
 #pragma once
 
 #include <optional>
@@ -128,6 +140,35 @@ void checkClueEntry(const core::ClueEntry<A>& e,
   }
 }
 
+// The encoding invariants of one valid slot of a table whose continuation
+// vector has `continuation_slots` entries.
+template <typename A>
+void checkClueSlot(const core::ClueSlot<A>& s, std::size_t continuation_slots,
+                   Report& report) {
+  const std::string clue = s.clue().toString();
+  if (s.fd_len > s.len) {
+    report.add("ClueTable", "fd-longer-than-clue",
+               clue + ": FD length " + std::to_string(s.fd_len));
+  }
+  const bool has_cont = s.cont != core::kNoContinuation;
+  if ((s.kase() == core::ClueCase::kSearch) != has_cont) {
+    report.add("ClueTable", "case3-cont-mismatch",
+               clue + (has_cont ? ": continuation on a case-1/2 slot"
+                                : ": case-3 slot without a continuation"));
+  }
+  if (s.ptrEmpty() == has_cont) {
+    report.add("ClueTable", "ptr-flag-mismatch",
+               clue + (has_cont ? ": Ptr marked empty but names continuation " +
+                                      std::to_string(s.cont)
+                                : ": Ptr marked non-empty but names nothing"));
+  }
+  if (has_cont && s.cont >= continuation_slots) {
+    report.add("ClueTable", "cont-index-out-of-range",
+               clue + ": Ptr " + std::to_string(s.cont) + " of " +
+                   std::to_string(continuation_slots) + " continuations");
+  }
+}
+
 }  // namespace detail
 
 // Validates every active entry of a hash clue table plus the open-addressing
@@ -142,28 +183,32 @@ Report validate(const core::HashClueTable<A>& table,
   Report report;
   std::size_t valid_slots = 0;
   for (std::size_t i = 0; i < table.bucketCount(); ++i) {
-    const core::ClueEntry<A>& e = table.slotAt(i);
-    if (!e.valid) continue;
+    const core::ClueSlot<A>& s = table.slotAt(i);
+    if (!s.valid()) continue;
     ++valid_slots;
+    const ip::Prefix<A> clue = s.clue();
     // Probe-chain integrity: walking from the entry's home slot must reach
     // slot i before any invalid slot ends the probe.
     bool reachable = false;
-    std::size_t j = table.homeSlot(e.clue);
+    std::size_t j = table.homeSlot(clue);
     for (std::size_t n = 0; n < table.bucketCount(); ++n) {
       if (j == i) {
         reachable = true;
         break;
       }
-      if (!table.slotAt(j).valid) break;
+      if (!table.slotAt(j).valid()) break;
       j = (j + 1) % table.bucketCount();
     }
     if (!reachable) {
       report.add("ClueTable", "probe-chain-broken",
-                 e.clue.toString() + " in slot " + std::to_string(i) +
+                 clue.toString() + " in slot " + std::to_string(i) +
                      " is unreachable from home slot " +
-                     std::to_string(table.homeSlot(e.clue)));
+                     std::to_string(table.homeSlot(clue)));
     }
-    if (e.active) detail::checkClueEntry<A>(e, t2, t1, patricia, report);
+    detail::checkClueSlot<A>(s, table.continuationSlots(), report);
+    if (s.active()) {
+      detail::checkClueEntry<A>(table.decode(s), t2, t1, patricia, report);
+    }
   }
   if (valid_slots != table.size()) {
     report.add("ClueTable", "size-mismatch",
@@ -182,9 +227,14 @@ Report validate(const core::IndexedClueTable<A>& table,
                 std::type_identity_t<const trie::BinaryTrie<A>*> t1 = nullptr,
                 const trie::PatriciaTrie<A>* patricia = nullptr) {
   Report report;
-  table.forEach([&](const core::ClueEntry<A>& e) {
-    if (e.active) detail::checkClueEntry<A>(e, t2, t1, patricia, report);
-  });
+  for (std::size_t i = 0; i < table.capacity(); ++i) {
+    const core::ClueSlot<A>& s = table.slotAt(i);
+    if (!s.valid()) continue;
+    detail::checkClueSlot<A>(s, table.continuationSlots(), report);
+    if (s.active()) {
+      detail::checkClueEntry<A>(table.decode(s), t2, t1, patricia, report);
+    }
+  }
   return report;
 }
 

@@ -1,8 +1,11 @@
 // §3.5: "parts of the clues hash table can be cached and placed into the
 // cache only if touched recently" — a small direct-mapped cache of clue
-// entries held in fast (on-chip) memory. A cache hit serves the entry
-// without touching DRAM at all, so the clue-table access itself disappears;
-// a miss costs the normal probe plus a (free, off-path) fill.
+// slots held in fast (on-chip) memory. A cache hit serves the slot without
+// touching DRAM at all, so the clue-table access itself disappears; a miss
+// costs the normal probe plus a (free, off-path) fill. A cached slot is a
+// copy of the table's ClueSlot: a case-3 slot's Ptr still indexes the
+// backing table's continuation vector, whose indices never move while the
+// entry lives (rewriting an entry clears the cache, see below).
 //
 // Staleness discipline: every slot is stamped with the generation it was
 // filled under. Route updates (CluePort::refreshRelated) and table-version
@@ -25,7 +28,7 @@ template <typename A>
 class ClueCache {
  public:
   using PrefixT = ip::Prefix<A>;
-  using EntryT = ClueEntry<A>;
+  using SlotT = ClueSlot<A>;
 
   // Fast memory is small by definition (§3.5 budgets on-chip bytes, not
   // DRAM); a request beyond this many slots is clamped rather than honoured.
@@ -57,26 +60,28 @@ class ClueCache {
   bool enabled() const { return !slots_.empty(); }
   std::size_t capacity() const { return slots_.size(); }
 
-  // Fast-memory probe: charges nothing. Returns nullptr on miss; a slot
-  // filled under an older generation is a miss (stale by definition).
-  const EntryT* lookup(const PrefixT& clue) {
+  // Fast-memory probe: charges nothing. `hint` is the clue's
+  // HashClueTable::hintFor (the cache indexes by the same hash). Returns
+  // nullptr on miss; a slot filled under an older generation is a miss
+  // (stale by definition).
+  const SlotT* lookup(const PrefixT& clue, ClueProbeHint hint) {
     if (slots_.empty()) return nullptr;
-    Slot& s = slots_[slotOf(clue)];
-    if (s.generation == generation_ && s.entry.valid && s.entry.clue == clue) {
+    Slot& s = slots_[indexOf(hint)];
+    if (s.generation == generation_ && s.slot.valid() && s.slot.holds(clue)) {
       ++stats_.hits;
-      return &s.entry;
+      return &s.slot;
     }
     ++stats_.misses;
     return nullptr;
   }
 
-  // Installs (a copy of) the entry after a backing-table hit, stamped with
-  // the current generation.
-  void fill(const EntryT& entry) {
+  // Installs (a copy of) a backing-table slot after a hit, stamped with the
+  // current generation; `hint` is its clue's hintFor.
+  void fill(ClueProbeHint hint, const SlotT& slot) {
     if (slots_.empty()) return;
-    Slot& s = slots_[slotOf(entry.clue)];
+    Slot& s = slots_[indexOf(hint)];
     s.generation = generation_;
-    s.entry = entry;
+    s.slot = slot;
   }
 
   // Drops everything — called when the backing table is recomputed (route
@@ -104,11 +109,12 @@ class ClueCache {
   struct Slot {
     // Slots start one generation behind, i.e. empty.
     std::uint64_t generation = std::numeric_limits<std::uint64_t>::max();
-    EntryT entry;
+    SlotT slot;
   };
 
-  std::size_t slotOf(const PrefixT& clue) const {
-    return std::hash<PrefixT>{}(clue) & (slots_.size() - 1);
+  // kMaxSlots < 2^32, so the hint's low hash word is all the index needs.
+  std::size_t indexOf(ClueProbeHint hint) const {
+    return hint.hash & (slots_.size() - 1);
   }
 
   std::vector<Slot> slots_;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -202,28 +201,31 @@ class CluePort {
 
   // The per-packet fast path (Figure 5). `dest` is the destination address,
   // `field` the clue bits from the header. All data-plane memory accesses
-  // are charged to `acc`.
+  // are charged to `acc`. A batch of one.
   Result process(const A& dest, const ClueField& field,
                  mem::AccessCounter& acc) {
-    Prepared p = prepare(dest, field);
-    return finish(p, dest, field, acc);
+    Result r;
+    processBatch({&dest, 1}, {&field, 1}, {&r, 1}, acc);
+    return r;
   }
 
-  // Largest batch processBatch accepts in one call (the pipeline's
-  // kMaxBatch must be <= this; both are sized so per-packet cursor state
-  // stays L1-resident).
+  // Largest batch processBatch resolves in one pass (the pipeline's
+  // kMaxBatch must be <= this; both are sized so the per-packet probe
+  // state stays L1-resident).
   static constexpr std::size_t kMaxProcessBatch = 64;
 
   // Batched fast path: behaves exactly like process() called once per
   // packet (same results, same Stats, same acc charges — prefetches are
-  // free in the access model), but splits each packet into a prepare phase
-  // (hash the clue, probe the §3.5 cache, issue prefetches) and a resolve
-  // phase, and runs all prepares before any resolve. By the time packet i
-  // is resolved, its clue-table line has been in flight while packets
-  // i+1.. were being prepared — memory-level parallelism a packet-at-a-time
-  // loop cannot express. The hash/cache work done in prepare is reused in
-  // resolve, so batching adds no duplicated computation. This is the entry
-  // point the pipeline workers use.
+  // free in the access model). Phase 1 hashes every packet's clue once
+  // (hash word + SWAR tag, kept in two stack arrays) and prefetches the
+  // tag word and the home slot; phase 2 resolves the packets in order,
+  // probing cache and table from that hash. By the time packet i is
+  // resolved, its clue-table line has been in flight while packets i+1..
+  // were hashed — memory-level parallelism a packet-at-a-time loop cannot
+  // express. Everything that mutates port
+  // state (§3.5 cache probes and fills, learning) happens in phase 2, in
+  // packet order, which is what makes a batch equal its packets one by one.
+  // This is the entry point the pipeline workers use.
   void processBatch(std::span<const A> dests, std::span<const ClueField> fields,
                     std::span<Result> out, mem::AccessCounter& acc) {
     CLUERT_CHECK(dests.size() == fields.size() && dests.size() == out.size())
@@ -240,33 +242,39 @@ class CluePort {
     const auto& engine = suite_->engine(options_.method);
     // One virtual query per batch, not one virtual no-op call per packet.
     const bool engine_prefetches = engine.prefetchCapable();
-    // Reused scratch (not a local array): Prepared is not trivially
-    // constructible, so a local would zero all kMaxProcessBatch elements on
-    // every call — pure per-call overhead that a batch-1 caller pays per
-    // packet.
-    Prepared* prep = batch_scratch_.data();
+    const HashClueTable<A>& table = readTable();
+    std::uint32_t hash[kMaxProcessBatch];
+    std::uint8_t tag[kMaxProcessBatch];
     for (std::size_t i = 0; i < dests.size(); ++i) {
-      prep[i] = prepare(dests[i], fields[i]);
-      if (!prep[i].clue) {
-        // Miss path: a full common lookup.
-        if (engine_prefetches) engine.prefetchLookup(dests[i]);
-        continue;
+      const ClueField& f = fields[i];
+      ClueProbeHint h;  // unused unless the packet probes the hash table
+      if (f.present && f.length <= A::kBits) {
+        if (options_.indexed && f.index) {
+          indexed_.prefetch(*f.index);
+        } else {
+          h = HashClueTable<A>::hintFor(PrefixT(dests[i], f.length));
+          // The tag word usually filters the probe down to the one slot
+          // already in flight.
+          table.prefetch(h);
+        }
       }
-      if (options_.indexed && fields[i].index) {
-        indexed_.prefetch(*fields[i].index);
-      } else if (prep[i].cached == nullptr) {
-        // Pull both the SWAR tag word and the home entry toward the cache;
-        // by resolve time the tag word usually filters the probe down to
-        // the one entry already in flight.
-        readTable().prefetchTags(prep[i].hint.slot);
-        readTable().prefetchSlot(prep[i].hint.slot);
-      }
-      // A table hit may still continue into the trie (case 3) or fall back
-      // to a full lookup (miss); warming the first trie step costs nothing.
+      hash[i] = h.hash;
+      tag[i] = h.tag;
+      // A hit may still continue into the trie (case 3) and a miss falls
+      // back to a full lookup; warming the first trie step costs nothing.
       if (engine_prefetches) engine.prefetchLookup(dests[i]);
     }
+    const Phase2 p2{engine, table};
+    // Observability is control-plane state (attachObs never runs while the
+    // data plane does), so one test per batch selects the loop.
+    if (!obs_.metricsEnabled() && !obs_.traceArmed()) {
+      for (std::size_t i = 0; i < dests.size(); ++i) {
+        resolve(out[i], dests[i], fields[i], {hash[i], tag[i]}, p2, acc);
+      }
+      return;
+    }
     for (std::size_t i = 0; i < dests.size(); ++i) {
-      out[i] = finish(prep[i], dests[i], fields[i], acc);
+      resolveObserved(out[i], dests[i], fields[i], {hash[i], tag[i]}, p2, acc);
     }
   }
 
@@ -307,12 +315,10 @@ class CluePort {
     return hash_.setActive(clue, false);
   }
   bool reactivateClue(const PrefixT& clue) {
-    if (ClueEntry<A>* e = hash_.findMutable(clue)) {
-      *e = makeEntry(clue);  // recompute: the tables may have moved on
-      cache_.clear();
-      return true;
-    }
-    return false;
+    // Recompute: the tables may have moved on since the clue went inactive.
+    if (!hash_.update(makeEntry(clue))) return false;
+    cache_.clear();
+    return true;
   }
 
   const ClueCache<A>& cache() const { return cache_; }
@@ -338,130 +344,117 @@ class CluePort {
   }
 
  private:
-  // Packet state carried from the prepare phase to the resolve phase. For a
-  // batch, prepares all run before any finish; for a single packet the two
-  // run back-to-back. Either way each packet hashes its clue and probes the
-  // §3.5 cache exactly once.
-  struct Prepared {
-    std::optional<PrefixT> clue;          // nullopt: packet carried no clue
-    const ClueEntry<A>* cached = nullptr;  // §3.5 fast-memory hit
-    ClueProbeHint hint;                    // probe start + SWAR tag (if !cached)
-    std::size_t buckets = 0;               // hash_ geometry when hint was computed
-  };
-
   // The clue table the data plane probes: the version-bound shared table
   // when one is attached, the port-owned (learning) table otherwise.
   const HashClueTable<A>& readTable() const {
     return shared_hash_ != nullptr ? *shared_hash_ : hash_;
   }
 
-  Prepared prepare(const A& dest, const ClueField& field) {
-    Prepared p;
-    p.clue = cluePrefix(dest, field);
-    if (!p.clue) return p;
-    if (options_.indexed && field.index) return p;  // slot named by header
-    // §3.5 cache: a fast-memory hit bypasses the DRAM probe entirely.
-    p.cached = cache_.lookup(*p.clue);
-    if (p.cached == nullptr) {
-      const HashClueTable<A>& table = readTable();
-      p.hint = table.hintFor(*p.clue);
-      p.buckets = table.bucketCount();
-    }
-    return p;
-  }
+  // What phase 2 shares across a batch: the engine and the probed table.
+  struct Phase2 {
+    const lookup::LookupEngine<A>& engine;
+    const HashClueTable<A>& table;
+  };
 
-  // Resolve phase dispatch: the plain path when no obs sink is attached (one
-  // pointer test per packet — the entire cost of compiled-in-but-disabled
-  // observability), the instrumented wrapper otherwise.
-  Result finish(Prepared& p, const A& dest, const ClueField& field,
-                mem::AccessCounter& acc) {
-    const bool metrics = obs_.metricsEnabled();
-    // shouldSample() must tick once per lookup while tracing is armed so the
-    // 1-in-N pattern stays aligned with the packet stream.
-    const bool sampled = obs_.traceArmed() && obs_.tracer->shouldSample();
-    if (!metrics && !sampled) return finishResolve(p, dest, field, acc);
-    return finishObserved(p, dest, field, acc, metrics, sampled);
-  }
-
-  Result finishResolve(Prepared& p, const A& dest, const ClueField& field,
-                       mem::AccessCounter& acc) {
+  // Phase 2 for one packet: rebuilds the clue from the destination and its
+  // length, probes the §3.5 cache and the table from the phase-1 `hint`
+  // (which survives the table growing under learning), and decides by
+  // Figure 5, writing every field of `r` in place. The FD-direct hit — the
+  // common case — stays inline; the other outcomes are out of line.
+  void resolve(Result& r, const A& dest, const ClueField& field,
+               ClueProbeHint hint, const Phase2& p2, mem::AccessCounter& acc) {
     ++stats_.packets;
-    const auto& engine = suite_->engine(options_.method);
-    if (!p.clue) {
-      ++stats_.no_clue;
-      return Result{engine.lookup(dest, acc), false, false, false,
-                    obs::Outcome::kNoClue};
+    if (!field.present || field.length > A::kBits) {
+      return noClue(r, dest, p2, acc);
     }
-    const ClueEntry<A>* entry = nullptr;
-    if (options_.indexed && field.index) {
-      const ClueEntry<A>* slot = indexed_.at(*field.index, acc);
-      if (slot != nullptr && slot->valid && slot->clue == *p.clue) entry = slot;
+    const PrefixT clue(dest, field.length);
+    const bool indexed = options_.indexed && field.index.has_value();
+    const ClueSlot<A>* s = nullptr;
+    if (indexed) {
+      s = indexed_.at(*field.index, acc);
+      if (s != nullptr && !(s->valid() && s->holds(clue))) s = nullptr;
     } else {
-      entry = p.cached;
-      const HashClueTable<A>& table = readTable();
-      // A cache fill from an earlier packet of this batch may have evicted
-      // the slot since prepare(); treat that as the miss it now is.
-      if (entry != nullptr && !(entry->valid && entry->clue == *p.clue)) {
-        entry = nullptr;
-        p.hint = table.hintFor(*p.clue);
-        p.buckets = table.bucketCount();
-      }
-      if (entry == nullptr) {
-        // Learning from an earlier packet of this batch may have grown the
-        // table since prepare(); the hint is only valid for its geometry.
-        if (p.buckets != table.bucketCount()) {
-          p.hint = table.hintFor(*p.clue);
-        }
-        entry = table.findFrom(p.hint, *p.clue, acc);
-        if (entry != nullptr && entry->active) cache_.fill(*entry);
+      // §3.5 cache: a fast-memory hit bypasses the DRAM probe entirely.
+      s = cache_.lookup(clue, hint);
+      if (s == nullptr) {
+        s = p2.table.findFrom(hint, clue, acc);
+        if (s != nullptr && s->active()) cache_.fill(hint, *s);
       }
     }
-    if (entry != nullptr && !entry->active) entry = nullptr;  // §3.4 marking
-
-    if (entry == nullptr) {
-      // "The Clue is not in the Table, never saw this clue": route by a full
-      // common lookup, then learn the entry off the fast path (§3.3.1).
-      ++stats_.table_misses;
-      Result r{engine.lookup(dest, acc), false, false, false,
-               obs::Outcome::kMiss};
-      if (options_.learn) learn(*p.clue, field);
-      return r;
+    if (s == nullptr || !s->active()) {  // §3.4 marking: inactive = miss
+      return miss(r, dest, clue, field, p2, acc);
     }
-
     ++stats_.table_hits;
-    if (entry->ptr_empty) {
-      ++stats_.fd_direct;
-      Result r{entry->fd, true, true, false};
-      r.outcome = entry->kase == ClueCase::kAbsent ? obs::Outcome::kCase1
-                                                   : obs::Outcome::kCase2;
-      r.claim1_skip = entry->claim1_pruned;
-      return r;
+    if (!s->ptrEmpty()) {
+      return search(r, dest, *s, indexed ? indexed_.continuation(*s)
+                                         : p2.table.continuation(*s),
+                    p2, acc);
     }
+    ++stats_.fd_direct;
+    r.match = s->fd();
+    r.table_hit = true;
+    r.used_fd = true;
+    r.searched = false;
+    r.outcome = s->kase() == ClueCase::kAbsent ? obs::Outcome::kCase1
+                                               : obs::Outcome::kCase2;
+    r.claim1_skip = s->claim1Pruned();
+    r.search_failed = false;
+  }
+
+  // The packet carried no usable clue: common lookup.
+  [[gnu::noinline]] void noClue(Result& r, const A& dest, const Phase2& p2,
+                                mem::AccessCounter& acc) {
+    ++stats_.no_clue;
+    r = Result{p2.engine.lookup(dest, acc), false, false, false,
+               obs::Outcome::kNoClue};
+  }
+
+  // "The Clue is not in the Table, never saw this clue": route by a full
+  // common lookup, then learn the entry off the fast path (§3.3.1).
+  [[gnu::noinline]] void miss(Result& r, const A& dest, const PrefixT& clue,
+                              const ClueField& field, const Phase2& p2,
+                              mem::AccessCounter& acc) {
+    ++stats_.table_misses;
+    r = Result{p2.engine.lookup(dest, acc), false, false, false,
+               obs::Outcome::kMiss};
+    if (options_.learn) learn(clue, field);
+  }
+
+  // Case 3: continue from the clue; the FD answers when nothing longer
+  // matches.
+  [[gnu::noinline]] void search(Result& r, const A& dest,
+                                const ClueSlot<A>& s,
+                                const lookup::Continuation<A>& cont,
+                                const Phase2& p2, mem::AccessCounter& acc) {
     ++stats_.searched;
     const auto neighbor =
         options_.mode == lookup::ClueMode::kAdvance
             ? std::optional<NeighborIndex>(options_.neighbor_index)
             : std::nullopt;
-    if (auto found = engine.continueLookup(entry->cont, dest, neighbor, acc)) {
-      return Result{found, true, false, true, obs::Outcome::kCase3};
+    if (auto found = p2.engine.continueLookup(cont, dest, neighbor, acc)) {
+      r = Result{found, true, false, true, obs::Outcome::kCase3};
+      return;
     }
     ++stats_.search_failed;
-    Result r{entry->fd, true, true, true, obs::Outcome::kCase3};
+    r = Result{s.fd(), true, true, true, obs::Outcome::kCase3};
     r.search_failed = true;
-    return r;
   }
 
   // The instrumented resolve: counts the outcome family, observes the
   // per-lookup access delta, and — on the sampled 1-in-N lookups of a trace
   // build — snapshots the counter and the clock around the resolve to emit
-  // a full TraceEvent. Forced out of line: inlined into finish() its body
-  // (TraceEvent assembly, two AccessCounter copies) bloats the per-packet
-  // loop enough to cost ~20% on *unobserved* trace-compiled builds.
-#if defined(__GNUC__) || defined(__clang__)
-  __attribute__((noinline))
-#endif
-  Result finishObserved(Prepared& p, const A& dest, const ClueField& field,
-                        mem::AccessCounter& acc, bool metrics, bool sampled) {
+  // a full TraceEvent. Forced out of line: inlined into the batch loop its
+  // body (TraceEvent assembly, two AccessCounter copies) bloats the
+  // per-packet loop enough to cost ~20% on *unobserved* trace-compiled
+  // builds.
+  [[gnu::noinline]] void resolveObserved(Result& r, const A& dest,
+                                         const ClueField& field,
+                                         ClueProbeHint hint, const Phase2& p2,
+                                         mem::AccessCounter& acc) {
+    const bool metrics = obs_.metricsEnabled();
+    // shouldSample() must tick once per lookup while tracing is armed so the
+    // 1-in-N pattern stays aligned with the packet stream.
+    const bool sampled = obs_.traceArmed() && obs_.tracer->shouldSample();
     mem::AccessCounter before;
     std::uint64_t t0 = 0;
     if (sampled) {
@@ -469,7 +462,7 @@ class CluePort {
       t0 = obs::Tracer::nowNs();
     }
     const std::uint64_t total_before = metrics ? acc.total() : 0;
-    Result r = finishResolve(p, dest, field, acc);
+    resolve(r, dest, field, hint, p2, acc);
     if (metrics) {
       obs_.packets->inc();
       obs_.cases[static_cast<std::size_t>(r.outcome)]->inc();
@@ -484,8 +477,9 @@ class CluePort {
       e.start_ns = t0;
       e.dur_ns = static_cast<std::uint32_t>(t1 - t0);
       e.worker = obs_.tracer->worker();
-      e.clue_len =
-          p.clue ? static_cast<std::int16_t>(p.clue->length()) : -1;
+      e.clue_len = field.present && field.length <= A::kBits
+                       ? static_cast<std::int16_t>(field.length)
+                       : std::int16_t{-1};
       e.mode = static_cast<std::uint8_t>(options_.mode);
       e.outcome = r.outcome;
       e.claim1_skip = r.claim1_skip;
@@ -498,7 +492,6 @@ class CluePort {
       });
       obs_.tracer->record(e);
     }
-    return r;
   }
 
   void learn(const PrefixT& clue, const ClueField& field) {
@@ -530,18 +523,15 @@ class CluePort {
     // same analysis in VersionedTables::applyLocal.
     const bool anchors_dangle =
         engines_rebuilt && options_.method == lookup::Method::kStride;
-    // makeEntry returns entries with active=true; a §3.4-marked entry must
-    // stay out of use across the refresh (invalidateClue would otherwise be
-    // silently undone by any nearby route update).
-    const auto refresh = [&](ClueEntry<A>& e) {
-      const bool dangling = anchors_dangle && e.kase == ClueCase::kSearch;
-      if (!dangling && !related(e.clue, changed)) return;
-      const bool was_active = e.active;
-      e = makeEntry(e.clue);
-      e.active = was_active;
+    // refreshIf keeps each slot's §3.4 marking, so a refresh never undoes
+    // an invalidateClue.
+    const auto stale = [&](const ClueSlot<A>& s) {
+      return (anchors_dangle && s.kase() == ClueCase::kSearch) ||
+             related(s.clue(), changed);
     };
-    hash_.forEachMutable(refresh);
-    indexed_.forEachMutable(refresh);
+    const auto rebuild = [&](const PrefixT& clue) { return makeEntry(clue); };
+    hash_.refreshIf(stale, rebuild);
+    indexed_.refreshIf(stale, rebuild);
   }
 
   Options options_;
@@ -562,9 +552,6 @@ class CluePort {
   ClueCache<A> cache_;
   Stats stats_;
   obs::LookupObs obs_;
-  // processBatch scratch; per-port (each pipeline shard owns its port, so
-  // no sharing), constructed once instead of per call.
-  std::array<Prepared, kMaxProcessBatch> batch_scratch_{};
 };
 
 }  // namespace cluert::core

@@ -176,21 +176,21 @@ class SubTableClueTable {
   std::optional<MatchT> process(const A& dest, const PrefixT& clue,
                                 NeighborIndex j,
                                 mem::AccessCounter& acc) const {
-    if (const ClueEntry<A>* e = common_.find(clue, acc)) {
-      return e->fd;  // common entries are final by construction
+    if (const ClueSlot<A>* s = common_.find(clue, acc)) {
+      return s->fd();  // common entries are final by construction
     }
     const NeighborState* ns = stateOf(j);
     CLUERT_CHECK(ns != nullptr) << "lookup names an unregistered neighbor " << j;
-    if (const ClueEntry<A>* e = ns->specific->find(clue, acc)) {
-      if (e->ptr_empty) return e->fd;
+    if (const ClueSlot<A>* s = ns->specific->find(clue, acc)) {
+      if (s->ptrEmpty()) return s->fd();
       const auto neighbor = options_.mode == lookup::ClueMode::kAdvance
                                 ? std::optional<NeighborIndex>(j)
                                 : std::nullopt;
-      if (auto found =
-              engine_.continueLookup(e->cont, dest, neighbor, acc)) {
+      if (auto found = engine_.continueLookup(ns->specific->continuation(*s),
+                                              dest, neighbor, acc)) {
         return found;
       }
-      return e->fd;
+      return s->fd();
     }
     return engine_.lookup(dest, acc);
   }
@@ -234,21 +234,9 @@ class SubTableClueTable {
       std::vector<ClueEntry<A>> entries;
       entries.reserve(list.size());
       for (const NeighborState* ns : list) {
-        ClueAnalyzer<A> analyzer(local_.binaryTrie(), ns->table);
-        const ClueAnalysis<A> a =
-            options_.mode == lookup::ClueMode::kAdvance
-                ? analyzer.analyzeAdvance(clue)
-                : analyzer.analyzeSimple(clue);
-        ClueEntry<A> e;
-        e.clue = clue;
-        e.valid = true;
-        e.fd = a.fd;
-        if (a.kase == ClueCase::kSearch) {
-          all_final = false;
-          e.ptr_empty = false;
-          e.cont = engine_.makeContinuation(clue, a.candidates);
-        }
-        entries.push_back(std::move(e));
+        entries.push_back(buildClueEntry(local_, ns->table, options_.method,
+                                         options_.mode, clue));
+        if (!entries.back().ptr_empty) all_final = false;
       }
       if (all_final) {
         common_.insert(std::move(entries.front()));

@@ -310,30 +310,22 @@ class VersionedTables {
     // related()-only for the other methods is what makes a publish
     // O(delta), not O(clue table).
     const bool anchors_dangle = v.method == lookup::Method::kStride;
-    v.clues.forEachMutable([&](core::ClueEntry<A>& e) {
-      bool needs = anchors_dangle && e.kase == core::ClueCase::kSearch;
-      if (!needs) {
-        for (const PrefixT& p : d.removed) {
-          if (related(e.clue, p)) {
-            needs = true;
-            break;
+    // refreshIf keeps each slot's §3.4 marking.
+    v.clues.refreshIf(
+        [&](const core::ClueSlot<A>& s) {
+          if (anchors_dangle && s.kase() == core::ClueCase::kSearch) {
+            return true;
           }
-        }
-      }
-      if (!needs) {
-        for (const EntryT& u : upserts) {
-          if (related(e.clue, u.prefix)) {
-            needs = true;
-            break;
+          const PrefixT clue = s.clue();
+          for (const PrefixT& p : d.removed) {
+            if (related(clue, p)) return true;
           }
-        }
-      }
-      if (needs) {
-        const bool was_active = e.active;  // preserve §3.4 marking
-        e = buildEntry(v, e.clue);
-        e.active = was_active;
-      }
-    });
+          for (const EntryT& u : upserts) {
+            if (related(clue, u.prefix)) return true;
+          }
+          return false;
+        },
+        [&](const PrefixT& clue) { return buildEntry(v, clue); });
     return false;
   }
 
@@ -361,37 +353,25 @@ class VersionedTables {
     }
     for (const PrefixT& p : d.removed) v.clues.setActive(p, false);
     for (const EntryT& e : d.added) {
-      if (core::ClueEntry<A>* slot = v.clues.findMutable(e.prefix)) {
-        *slot = buildEntry(v, e.prefix);  // re-announce: fresh and active
-      } else {
-        v.clues.insert(buildEntry(v, e.prefix));
-      }
+      // Re-announce: fresh and active.
+      core::ClueEntry<A> fresh = buildEntry(v, e.prefix);
+      if (!v.clues.update(fresh)) v.clues.insert(std::move(fresh));
     }
     if (v.mode == lookup::ClueMode::kAdvance) {
       // Claim-1 pruning consults the sender's subtree below each clue; any
       // entry related to a changed prefix may prune differently now.
-      v.clues.forEachMutable([&](core::ClueEntry<A>& e) {
-        bool needs = false;
-        for (const PrefixT& p : d.removed) {
-          if (related(e.clue, p)) {
-            needs = true;
-            break;
-          }
-        }
-        if (!needs) {
-          for (const EntryT& u : d.added) {
-            if (related(e.clue, u.prefix)) {
-              needs = true;
-              break;
+      v.clues.refreshIf(
+          [&](const core::ClueSlot<A>& s) {
+            const PrefixT clue = s.clue();
+            for (const PrefixT& p : d.removed) {
+              if (related(clue, p)) return true;
             }
-          }
-        }
-        if (needs) {
-          const bool was_active = e.active;
-          e = buildEntry(v, e.clue);
-          e.active = was_active;
-        }
-      });
+            for (const EntryT& u : d.added) {
+              if (related(clue, u.prefix)) return true;
+            }
+            return false;
+          },
+          [&](const PrefixT& clue) { return buildEntry(v, clue); });
     }
     return false;
   }

@@ -233,9 +233,25 @@ struct PortFixture {
         &suite->patricia());
   }
 
-  core::ClueEntry<A>* mutableEntry(const ip::Prefix<A>& clue) {
-    return const_cast<core::HashClueTable<A>&>(port->hashTable())
-        .findMutable(clue);
+  // The raw slot for `clue` (which must be in the table), for corruptions
+  // the encoding itself cannot produce.
+  core::ClueSlot<A>& rawSlot(const ip::Prefix<A>& clue) {
+    mem::AccessCounter acc;
+    const core::ClueSlot<A>* s = port->hashTable().find(clue, acc);
+    CLUERT_CHECK(s != nullptr) << clue.toString() << " not in the table";
+    return const_cast<core::ClueSlot<A>&>(*s);
+  }
+
+  // The decoded entry for `clue`.
+  core::ClueEntry<A> entry(const ip::Prefix<A>& clue) {
+    return port->hashTable().decode(rawSlot(clue));
+  }
+
+  // Writes a (corrupted) entry back through the table's update path, which
+  // re-encodes its slot and continuation together.
+  void rewrite(const core::ClueEntry<A>& e) {
+    auto& table = const_cast<core::HashClueTable<A>&>(port->hashTable());
+    CLUERT_CHECK(table.update(e)) << e.clue.toString();
   }
 };
 
@@ -262,9 +278,9 @@ TEST(CheckClueTable, EveryMethodValidatesCleanSimpleAndAdvance) {
 TEST(CheckClueTable, WrongFdIsReported) {
   PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kSimple,
                 nestedTable(), nestedTable());
-  auto* e = f.mutableEntry(p4("10.128.0.0/9"));
-  ASSERT_NE(e, nullptr);
-  e->fd = Match{p4("10.0.0.0/8"), 99};  // right prefix family, wrong hop
+  auto e = f.entry(p4("10.128.0.0/9"));
+  e.fd = Match{p4("10.0.0.0/8"), 99};  // right prefix family, wrong hop
+  f.rewrite(e);
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("fd-mismatch")) << report.toString();
   EXPECT_EQ(report.count("fd-mismatch"), 1u);
@@ -275,10 +291,10 @@ TEST(CheckClueTable, Claim1ViolationIsReported) {
   // is exactly the unsound state Claim 1 forbids.
   PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kSimple,
                 nestedTable(), nestedTable());
-  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
-  ASSERT_NE(e, nullptr);
-  ASSERT_FALSE(e->ptr_empty);  // sanity: a search is genuinely needed
-  e->ptr_empty = true;
+  auto e = f.entry(p4("10.0.0.0/8"));
+  ASSERT_FALSE(e.ptr_empty);  // sanity: a search is genuinely needed
+  e.ptr_empty = true;
+  f.rewrite(e);
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("claim1-empty-ptr")) << report.toString();
 }
@@ -289,10 +305,10 @@ TEST(CheckClueTable, SpuriousPtrIsReported) {
   PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kAdvance,
                 nestedTable(),
                 {Match{p4("10.0.0.0/8"), 1}, Match{p4("10.128.0.0/9"), 2}});
-  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
-  ASSERT_NE(e, nullptr);
-  ASSERT_TRUE(e->ptr_empty);  // sanity: Claim 1 holds for this clue
-  e->ptr_empty = false;
+  auto e = f.entry(p4("10.0.0.0/8"));
+  ASSERT_TRUE(e.ptr_empty);  // sanity: Claim 1 holds for this clue
+  e.ptr_empty = false;
+  f.rewrite(e);
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("ptr-not-empty")) << report.toString();
 }
@@ -300,10 +316,10 @@ TEST(CheckClueTable, SpuriousPtrIsReported) {
 TEST(CheckClueTable, DanglingPatriciaAnchorIsReported) {
   PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kSimple,
                 nestedTable(), nestedTable());
-  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
-  ASSERT_NE(e, nullptr);
-  ASSERT_FALSE(e->ptr_empty);
-  e->cont.patricia_anchor = f.suite->patricia().root();  // wrong node
+  auto e = f.entry(p4("10.0.0.0/8"));
+  ASSERT_FALSE(e.ptr_empty);
+  e.cont.patricia_anchor = f.suite->patricia().root();  // wrong node
+  f.rewrite(e);
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("dangling-patricia-anchor")) << report.toString();
 }
@@ -311,10 +327,10 @@ TEST(CheckClueTable, DanglingPatriciaAnchorIsReported) {
 TEST(CheckClueTable, DanglingTrieAnchorIsReported) {
   PortFixture f(lookup::Method::kRegular, lookup::ClueMode::kSimple,
                 nestedTable(), nestedTable());
-  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
-  ASSERT_NE(e, nullptr);
-  ASSERT_FALSE(e->ptr_empty);
-  e->cont.trie_anchor = f.suite->binaryTrie().root();  // not the clue vertex
+  auto e = f.entry(p4("10.0.0.0/8"));
+  ASSERT_FALSE(e.ptr_empty);
+  e.cont.trie_anchor = f.suite->binaryTrie().root();  // not the clue vertex
+  f.rewrite(e);
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("dangling-trie-anchor")) << report.toString();
 }
@@ -322,11 +338,11 @@ TEST(CheckClueTable, DanglingTrieAnchorIsReported) {
 TEST(CheckClueTable, PtrWithNoContinuationStateIsReported) {
   PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kSimple,
                 nestedTable(), nestedTable());
-  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
-  ASSERT_NE(e, nullptr);
-  ASSERT_FALSE(e->ptr_empty);
-  e->cont = lookup::Continuation<A>{};  // wipe: Ptr now points at nothing
-  e->cont.clue = e->clue;
+  auto e = f.entry(p4("10.0.0.0/8"));
+  ASSERT_FALSE(e.ptr_empty);
+  e.cont = lookup::Continuation<A>{};  // wipe: Ptr now points at nothing
+  e.cont.clue = e.clue;
+  f.rewrite(e);
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("dangling-ptr")) << report.toString();
 }
@@ -334,11 +350,11 @@ TEST(CheckClueTable, PtrWithNoContinuationStateIsReported) {
 TEST(CheckClueTable, CandidateCountMismatchIsReported) {
   PortFixture f(lookup::Method::kBinary, lookup::ClueMode::kSimple,
                 nestedTable(), nestedTable());
-  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
-  ASSERT_NE(e, nullptr);
-  ASSERT_FALSE(e->ptr_empty);
-  ASSERT_NE(e->cont.candidates, nullptr);
-  e->cont.candidate_count += 1;
+  auto e = f.entry(p4("10.0.0.0/8"));
+  ASSERT_FALSE(e.ptr_empty);
+  ASSERT_NE(e.cont.candidates, nullptr);
+  e.cont.candidate_count += 1;
+  f.rewrite(e);
   const auto report = f.validateHash();
   ASSERT_TRUE(report.has("candidate-count-mismatch")) << report.toString();
 }
@@ -346,15 +362,15 @@ TEST(CheckClueTable, CandidateCountMismatchIsReported) {
 TEST(CheckClueTable, CorruptedCandidateSetIsReported) {
   PortFixture f(lookup::Method::kBinary, lookup::ClueMode::kSimple,
                 nestedTable(), nestedTable());
-  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
-  ASSERT_NE(e, nullptr);
-  ASSERT_FALSE(e->ptr_empty);
+  auto e = f.entry(p4("10.0.0.0/8"));
+  ASSERT_FALSE(e.ptr_empty);
   // Rebuild the per-clue segment table over a candidate set with a wrong
   // next hop: the recomputed C1 set disagrees segment by segment.
-  e->cont.candidates = std::make_shared<lookup::SegmentTable<A>>(
+  e.cont.candidates = std::make_shared<lookup::SegmentTable<A>>(
       lookup::SegmentTable<A>::build({Match{p4("10.128.0.0/9"), 77}},
                                      p4("10.0.0.0/8").rangeLow()));
-  e->cont.candidate_count = 1;
+  e.cont.candidate_count = 1;
+  f.rewrite(e);
   const auto report = f.validateHash();
   EXPECT_TRUE(report.has("segment-match-mismatch")) << report.toString();
   EXPECT_TRUE(report.has("candidate-count-mismatch")) << report.toString();
@@ -370,16 +386,16 @@ TEST(CheckClueTable, BrokenProbeChainIsReported) {
   const auto& table = f.port->hashTable();
   std::size_t displaced = table.bucketCount();
   for (std::size_t i = 0; i < table.bucketCount(); ++i) {
-    const auto& e = table.slotAt(i);
-    if (e.valid && table.homeSlot(e.clue) != i) {
+    const auto& s = table.slotAt(i);
+    if (s.valid() && table.homeSlot(s.clue()) != i) {
       displaced = i;
       break;
     }
   }
   ASSERT_LT(displaced, table.bucketCount())
       << "table has no collisions; grow the test table";
-  const std::size_t home = table.homeSlot(table.slotAt(displaced).clue);
-  const_cast<core::ClueEntry<A>&>(table.slotAt(home)).valid = false;
+  const std::size_t home = table.homeSlot(table.slotAt(displaced).clue());
+  const_cast<core::ClueSlot<A>&>(table.slotAt(home)).flags = 0;
   const auto report = f.validateHash();
   EXPECT_TRUE(report.has("probe-chain-broken")) << report.toString();
   EXPECT_TRUE(report.has("size-mismatch")) << report.toString();
@@ -390,12 +406,57 @@ TEST(CheckClueTable, InactiveEntriesAreNotAnalyzed) {
   // validator must not flag it (it will be recomputed before reactivation).
   PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kSimple,
                 nestedTable(), nestedTable());
-  auto* e = f.mutableEntry(p4("10.0.0.0/8"));
-  ASSERT_NE(e, nullptr);
-  e->fd = Match{p4("10.0.0.0/8"), 99};
-  e->active = false;
+  auto e = f.entry(p4("10.0.0.0/8"));
+  e.fd = Match{p4("10.0.0.0/8"), 99};
+  e.active = false;
+  f.rewrite(e);
   const auto report = f.validateHash();
   EXPECT_TRUE(report.ok()) << report.toString();
+}
+
+// Slot encoding: raw corruptions of the 16-byte slot that no ClueEntry
+// write can produce.
+
+TEST(CheckClueTable, FdLongerThanClueIsReported) {
+  PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kSimple,
+                nestedTable(), nestedTable());
+  f.rawSlot(p4("10.192.0.0/10")).fd_len = 20;
+  const auto report = f.validateHash();
+  EXPECT_TRUE(report.has("fd-longer-than-clue")) << report.toString();
+}
+
+TEST(CheckClueTable, Case3SlotWithoutContinuationIsReported) {
+  PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kSimple,
+                nestedTable(), nestedTable());
+  core::ClueSlot<A>& s = f.rawSlot(p4("10.0.0.0/8"));
+  ASSERT_EQ(s.kase(), core::ClueCase::kSearch);
+  s.cont = core::kNoContinuation;  // case bits and Ptr flag left behind
+  const auto report = f.validateHash();
+  EXPECT_TRUE(report.has("case3-cont-mismatch")) << report.toString();
+  EXPECT_TRUE(report.has("ptr-flag-mismatch")) << report.toString();
+}
+
+TEST(CheckClueTable, ContinuationOnAFinalSlotIsReported) {
+  PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kSimple,
+                nestedTable(), nestedTable());
+  ASSERT_GE(f.port->hashTable().continuationSlots(), 1u);
+  core::ClueSlot<A>& s = f.rawSlot(p4("192.168.0.0/16"));
+  ASSERT_EQ(s.kase(), core::ClueCase::kFinal);
+  s.cont = 0;  // another entry's continuation
+  const auto report = f.validateHash();
+  EXPECT_TRUE(report.has("case3-cont-mismatch")) << report.toString();
+  EXPECT_TRUE(report.has("ptr-flag-mismatch")) << report.toString();
+}
+
+TEST(CheckClueTable, ContinuationIndexOutOfRangeIsReported) {
+  PortFixture f(lookup::Method::kPatricia, lookup::ClueMode::kSimple,
+                nestedTable(), nestedTable());
+  const auto n =
+      static_cast<std::uint32_t>(f.port->hashTable().continuationSlots());
+  f.rawSlot(p4("10.0.0.0/8")).cont = n + 5;
+  const auto report = f.validateHash();
+  EXPECT_TRUE(report.has("cont-index-out-of-range")) << report.toString();
+  EXPECT_FALSE(report.has("case3-cont-mismatch")) << report.toString();
 }
 
 TEST(CheckClueTable, IndexedTableValidatesCleanAndCatchesWrongFd) {
@@ -418,15 +479,28 @@ TEST(CheckClueTable, IndexedTableValidatesCleanAndCatchesWrongFd) {
 
   auto& table = const_cast<core::IndexedClueTable<A>&>(port.indexedTable());
   bool corrupted = false;
-  table.forEachMutable([&](core::ClueEntry<A>& e) {
-    if (corrupted) return;
+  for (std::size_t i = 0; i < table.capacity() && !corrupted; ++i) {
+    if (!table.slotAt(i).valid()) continue;
+    core::ClueEntry<A> e = table.decode(table.slotAt(i));
     e.fd = Match{e.clue, 12345};
-    corrupted = true;
-  });
+    corrupted = table.put(static_cast<std::uint16_t>(i), std::move(e));
+  }
   ASSERT_TRUE(corrupted);
   const auto report = check::validate(port.indexedTable(), suite.binaryTrie(),
                                       nullptr, &suite.patricia());
   ASSERT_TRUE(report.has("fd-mismatch")) << report.toString();
+
+  // The slot-encoding checks run over the indexed table too.
+  for (std::size_t i = 0; i < table.capacity(); ++i) {
+    auto& s = const_cast<core::ClueSlot<A>&>(table.slotAt(i));
+    if (!s.valid() || s.len >= A::kBits) continue;
+    s.fd_len = static_cast<std::uint8_t>(s.len + 1);
+    break;
+  }
+  const auto encoding = check::validate(port.indexedTable(),
+                                        suite.binaryTrie(), nullptr,
+                                        &suite.patricia());
+  EXPECT_TRUE(encoding.has("fd-longer-than-clue")) << encoding.toString();
 }
 
 // ---------------------------------------------------------------------------

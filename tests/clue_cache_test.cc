@@ -161,19 +161,25 @@ TEST(ClueCache, SetVersionInvalidatesOnlyOnChange) {
   e.clue = p4("10.0.0.0/8");
   e.valid = true;
   e.fd = MatchT{p4("10.0.0.0/8"), 7};
-  cache.fill(e);
-  ASSERT_NE(cache.lookup(e.clue), nullptr);
+  HashClueTable<A> table(4);
+  ASSERT_TRUE(table.insert(e));
+  mem::AccessCounter acc;
+  const ClueSlot<A>& slot = *table.find(e.clue, acc);
+  const ClueProbeHint hint = HashClueTable<A>::hintFor(e.clue);
+  cache.fill(hint, slot);
+  ASSERT_NE(cache.lookup(e.clue, hint), nullptr);
+  EXPECT_EQ(cache.lookup(e.clue, hint)->fd(), e.fd);
 
   const auto gen = cache.generation();
   cache.setVersion(1);  // first bind: entries predate any version -> flush
   EXPECT_NE(cache.generation(), gen);
-  EXPECT_EQ(cache.lookup(e.clue), nullptr);
+  EXPECT_EQ(cache.lookup(e.clue, hint), nullptr);
 
-  cache.fill(e);
+  cache.fill(hint, slot);
   cache.setVersion(1);  // same version re-bound: cache survives
-  ASSERT_NE(cache.lookup(e.clue), nullptr);
+  ASSERT_NE(cache.lookup(e.clue, hint), nullptr);
   cache.setVersion(2);  // swap: everything cached under v1 is gone
-  EXPECT_EQ(cache.lookup(e.clue), nullptr);
+  EXPECT_EQ(cache.lookup(e.clue, hint), nullptr);
   EXPECT_EQ(cache.version(), 2u);
 }
 

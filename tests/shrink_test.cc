@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "sim/sim.h"
 
@@ -100,9 +101,12 @@ TEST(Shrink, RespectsEvalBudget) {
 // an FD now reports a skewed next hop the oracle will refuse.
 void sabotageFds(core::CluePort<A>& port) {
   auto& hash = const_cast<core::HashClueTable<A>&>(port.hashTable());
-  hash.forEachMutable([](core::ClueEntry<A>& e) {
+  std::vector<core::ClueEntry<A>> entries;
+  hash.forEach([&](const core::ClueEntry<A>& e) { entries.push_back(e); });
+  for (core::ClueEntry<A>& e : entries) {
     if (e.fd) e.fd->next_hop = static_cast<NextHop>(e.fd->next_hop + 100);
-  });
+    hash.update(std::move(e));
+  }
 }
 
 TEST(Shrink, SabotagedEngineIsCaughtShrunkAndReplayedRedThenGreen) {

@@ -38,7 +38,10 @@ cd "$(dirname "$0")/.."
 # multi-router harness (DESIGN.md §12): every (router, port) stack runs a
 # live RouteUpdater thread against resolver pins, and the RouteUpdater
 # ordering test races two producers into one publication queue.
-DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|DistributedLookup|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater"
+# ClueTable*/ClueCache* cover the 16-byte slot encoding and the
+# continuation side vector its Ptr indexes (src/core/clue_table.h) — index
+# arithmetic ASan and UBSan should watch.
+DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|DistributedLookup|ClueTable|ClueCache|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater"
 
 SANITIZERS=()
 FILTER="$DEFAULT_FILTER"
