@@ -126,7 +126,7 @@ Report validate(const trie::BinaryTrie<A>& t) {
 // against their definition (§4): continue(v) is true iff some marked
 // descendant p of v exists with no t1 prefix q, v < q <= p, on the way.
 // Recomputed bottom-up from scratch, so a stale annotation (e.g. after a
-// missed onNeighborRouteChanged) is caught exactly.
+// missed CluePort::onNeighborDelta) is caught exactly.
 template <typename A>
 Report validateContinueBits(const trie::BinaryTrie<A>& t2,
                             NeighborIndex neighbor,

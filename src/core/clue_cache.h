@@ -8,11 +8,11 @@
 // entry lives (rewriting an entry clears the cache, see below).
 //
 // Staleness discipline: every slot is stamped with the generation it was
-// filled under. Route updates (CluePort::refreshRelated) and table-version
-// swaps (CluePort::bindVersion) bump the generation, which invalidates the
-// whole cache in O(1) — no slot walk on the update path, and a stale FD can
-// never be served across a swap because the stamp comparison happens on
-// every lookup.
+// filled under. Route updates (CluePort::onLocalDelta / onNeighborDelta,
+// §3.4 marking) and table-version swaps (CluePort::bindVersion) bump the
+// generation, which invalidates the whole cache in O(1) — no slot walk on
+// the update path, and a stale FD can never be served across a swap because
+// the stamp comparison happens on every lookup.
 #pragma once
 
 #include <bit>

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/clue_analyzer.h"
@@ -196,8 +197,26 @@ class ClueSlotStore {
     }
   }
 
+  // §3.4 marking of every valid slot `pick(slot)` selects, in place (probe
+  // chains stay intact). Returns the number of slots marked.
+  template <typename Pick>
+  std::size_t setActiveIf(Pick&& pick, bool active) {
+    std::size_t marked = 0;
+    for (SlotT& s : slots_) {
+      if (!s.valid() || !pick(std::as_const(s))) continue;
+      mark(s, active);
+      ++marked;
+    }
+    return marked;
+  }
+
  protected:
   explicit ClueSlotStore(std::size_t slots) : slots_(slots) {}
+
+  static void mark(SlotT& s, bool active) {
+    s.flags = static_cast<std::uint8_t>(
+        active ? (s.flags | SlotT::kActive) : (s.flags & ~SlotT::kActive));
+  }
 
   // Encodes `e` into slot i. The slot's continuation index is reused when
   // both the old and the new entry carry one, recycled when only the old
@@ -385,9 +404,7 @@ class HashClueTable : public ClueSlotStore<A> {
   bool setActive(const PrefixT& clue, bool active) {
     const std::optional<std::size_t> i = indexOf(clue);
     if (!i) return false;
-    SlotT& s = slots_[*i];
-    s.flags = static_cast<std::uint8_t>(
-        active ? (s.flags | SlotT::kActive) : (s.flags & ~SlotT::kActive));
+    Base::mark(slots_[*i], active);
     return true;
   }
 

@@ -16,6 +16,7 @@
 #include "core/clue.h"
 #include "core/clue_analyzer.h"
 #include "core/clue_cache.h"
+#include "core/clue_maintenance.h"
 #include "core/clue_table.h"
 #include "lookup/factory.h"
 #include "obs/hooks.h"
@@ -48,34 +49,6 @@ class ClueIndexer {
   std::unordered_map<PrefixT, std::uint16_t> map_;
   std::uint32_t next_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Control-plane entry construction (procedure new-clue of Figure 5), shared
-// by CluePort (learning, refresh after route updates) and the versioned
-// table builder (src/rib/versioned_tables.h), which constructs whole clue
-// tables for immutable snapshots without owning a port.
-// ---------------------------------------------------------------------------
-template <typename A>
-ClueEntry<A> buildClueEntry(const lookup::LookupSuite<A>& suite,
-                            const trie::BinaryTrie<A>* neighbor_trie,
-                            lookup::Method method, lookup::ClueMode mode,
-                            const ip::Prefix<A>& clue) {
-  const ClueAnalyzer<A> analyzer(suite.binaryTrie(), neighbor_trie);
-  const ClueAnalysis<A> a = mode == lookup::ClueMode::kAdvance
-                                ? analyzer.analyzeAdvance(clue)
-                                : analyzer.analyzeSimple(clue);
-  ClueEntry<A> e;
-  e.clue = clue;
-  e.valid = true;
-  e.fd = a.fd;
-  e.kase = a.kase;
-  e.claim1_pruned = a.claim1_pruned;
-  if (a.kase == ClueCase::kSearch) {
-    e.ptr_empty = false;
-    e.cont = suite.engine(method).makeContinuation(clue, a.candidates);
-  }
-  return e;
-}
 
 // ---------------------------------------------------------------------------
 // Receiver side.
@@ -286,40 +259,36 @@ class CluePort {
   }
 
   // -- control plane: route updates and §3.4 marking ------------------------
+  //
+  // All of it is ClueMaintainer's one rule (core/clue_maintenance.h), run on
+  // both port-owned tables. A version-bound port owns no tables it may
+  // mutate: its updates flow through VersionedTables instead.
 
-  // Call after a route for `changed` was inserted into or removed from the
-  // *receiver's* table (and LookupSuite::insertRoute/eraseRoute ran): every
-  // entry whose FD or candidate set can depend on `changed` — clues on its
-  // path and clues extending it — is recomputed in place.
-  void onLocalRouteChanged(const PrefixT& changed) {
-    refreshRelated(changed, /*engines_rebuilt=*/true);
+  // Call after the *receiver's* suite applied `d`
+  // (LookupSuite::applyRouteDelta): every entry whose FD or candidate set
+  // can depend on a changed prefix is recomputed in place.
+  void onLocalDelta(const rib::FibDelta<A>& d) {
+    ClueMaintainer<A> m = maintainer();
+    if (d.empty()) return;
+    cache_.clear();  // coarse but always safe
+    m.onLocalDelta(d);
   }
 
-  // Call after the *sender's* table changed (Claim 1 consults it): affected
-  // entries are those whose clue is on the changed prefix's path, and the
-  // per-vertex Claim-1 booleans must be recomputed against the new view.
-  void onNeighborRouteChanged(const PrefixT& changed) {
-    CLUERT_CHECK(local_ != nullptr)
-        << "route-change notification on a version-bound port; updates flow "
-           "through VersionedTables instead";
-    if (options_.mode == lookup::ClueMode::kAdvance) {
-      local_->annotateNeighbor(options_.neighbor_index, *neighbor_trie_);
-    }
-    refreshRelated(changed, /*engines_rebuilt=*/false);
+  // Call after the *sender's* prefix view (the port's neighbor trie)
+  // applied `d` (rib::applyDelta): withdrawn clues go inactive, announced
+  // ones get entries, and under Advance Claim 1 follows the new view.
+  void onNeighborDelta(const rib::FibDelta<A>& d) {
+    ClueMaintainer<A> m = maintainer();
+    if (d.empty()) return;
+    cache_.clear();
+    m.onNeighborDelta(d);
   }
 
   // §3.4: mark a clue out-of-use / back in use without removing it (probe
-  // chains stay intact). An inactive entry behaves as a miss.
-  bool invalidateClue(const PrefixT& clue) {
-    cache_.clear();
-    return hash_.setActive(clue, false);
-  }
-  bool reactivateClue(const PrefixT& clue) {
-    // Recompute: the tables may have moved on since the clue went inactive.
-    if (!hash_.update(makeEntry(clue))) return false;
-    cache_.clear();
-    return true;
-  }
+  // chains stay intact), in the hash and the indexed table alike. An
+  // inactive entry behaves as a miss; a reactivated one is recomputed.
+  bool invalidateClue(const PrefixT& clue) { return markClue(clue, false); }
+  bool reactivateClue(const PrefixT& clue) { return markClue(clue, true); }
 
   const ClueCache<A>& cache() const { return cache_; }
 
@@ -507,31 +476,23 @@ class CluePort {
     }
   }
 
-  // A clue entry depends on `changed` iff one is a prefix of the other (FDs
-  // look up the clue's path; candidate sets look down its subtree).
-  static bool related(const PrefixT& clue, const PrefixT& changed) {
-    return clue.isPrefixOf(changed) || changed.isPrefixOf(clue);
+  ClueMaintainer<A> maintainer() {
+    CLUERT_CHECK(local_ != nullptr)
+        << "clue maintenance on a version-bound port; updates flow through "
+           "VersionedTables instead";
+    return ClueMaintainer<A>{*local_,
+                             neighbor_trie_,
+                             options_.method,
+                             options_.mode,
+                             options_.neighbor_index,
+                             hash_,
+                             options_.indexed ? &indexed_ : nullptr};
   }
 
-  void refreshRelated(const PrefixT& changed, bool engines_rebuilt) {
-    cache_.clear();  // coarse but always safe
-    // Local changes rebuild the suite's engines. kStride continuations
-    // anchor nodes the old engine owned, so every case-3 entry must be
-    // rebuilt there — a stale anchor is a use-after-free. All other
-    // methods' anchors survive the rebuild (tries are patched in place,
-    // candidate tables are entry-owned), so related() suffices; see the
-    // same analysis in VersionedTables::applyLocal.
-    const bool anchors_dangle =
-        engines_rebuilt && options_.method == lookup::Method::kStride;
-    // refreshIf keeps each slot's §3.4 marking, so a refresh never undoes
-    // an invalidateClue.
-    const auto stale = [&](const ClueSlot<A>& s) {
-      return (anchors_dangle && s.kase() == ClueCase::kSearch) ||
-             related(s.clue(), changed);
-    };
-    const auto rebuild = [&](const PrefixT& clue) { return makeEntry(clue); };
-    hash_.refreshIf(stale, rebuild);
-    indexed_.refreshIf(stale, rebuild);
+  bool markClue(const PrefixT& clue, bool active) {
+    const bool found = maintainer().markClue(clue, active);
+    if (found) cache_.clear();
+    return found;
   }
 
   Options options_;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "lookup/binary_interval_lookup.h"
@@ -15,6 +14,7 @@
 #include "lookup/patricia_lookup.h"
 #include "lookup/stride_trie_lookup.h"
 #include "obs/hooks.h"
+#include "rib/fib_diff.h"
 #include "common/check.h"
 
 namespace cluert::lookup {
@@ -105,37 +105,22 @@ class LookupSuite {
     publishGauges();
   }
 
-  void insertRoute(const PrefixT& prefix, NextHop next_hop) {
-    trie_.insert(prefix, next_hop);
-    patricia_.insert(prefix, next_hop);
-    refreshAfterChange();
-  }
-
-  bool eraseRoute(const PrefixT& prefix) {
-    const bool erased = trie_.erase(prefix);
-    patricia_.erase(prefix);
-    if (erased) refreshAfterChange();
-    return erased;
-  }
-
-  // Batched update: applies every removal and upsert to the tries, then
-  // reconstructs the snapshot-style engines ONCE. A FibDelta applied via
-  // insertRoute/eraseRoute pays one engine rebuild per route; under churn
-  // that per-route O(table) cost dominates, so the versioned-table builder
-  // and Router::applyRouteUpdate come through here. No-op on empty input.
-  void applyRouteDelta(std::span<const PrefixT> removals,
-                       std::span<const MatchT> upserts) {
-    if (removals.empty() && upserts.empty()) return;
+  // Applies a FIB delta to the tries — removals first, so no transient
+  // state ever widens a prefix — then reconstructs the snapshot-style
+  // engines ONCE for the whole batch. Rebuilding per route would make every
+  // changed route an O(table) cost. No-op on an empty delta.
+  void applyRouteDelta(const rib::FibDelta<A>& d) {
     bool changed = false;
-    for (const PrefixT& p : removals) {
-      const bool erased = trie_.erase(p);
+    for (const PrefixT& p : d.removed) {
+      changed |= trie_.erase(p);
       patricia_.erase(p);
-      changed |= erased;
     }
-    for (const MatchT& e : upserts) {
-      trie_.insert(e.prefix, e.next_hop);
-      patricia_.insert(e.prefix, e.next_hop);
-      changed = true;
+    for (const auto* upserts : {&d.added, &d.rerouted}) {
+      for (const MatchT& e : *upserts) {
+        trie_.insert(e.prefix, e.next_hop);
+        patricia_.insert(e.prefix, e.next_hop);
+        changed = true;
+      }
     }
     if (changed) refreshAfterChange();
   }

@@ -1,10 +1,11 @@
 // FIB delta computation: what changed between two versions of a table.
 // This is the unit of work a routing-protocol reconvergence hands to the
-// route-update machinery — either the in-place path here
-// (LookupSuite::insertRoute/eraseRoute and CluePort::onLocalRouteChanged /
-// onNeighborRouteChanged) or the epoch-versioned publication path
-// (rib::VersionedTables / rib::RouteUpdater), which consumes FibDelta
-// batches on a dedicated updater thread.
+// route-update machinery, whole: a lookup suite applies it with one engine
+// rebuild (LookupSuite::applyRouteDelta), the clue tables follow it through
+// the one §3.4 maintenance rule (core/clue_maintenance.h) — in place
+// (CluePort::onLocalDelta / onNeighborDelta) or on the epoch-versioned
+// publication path (rib::VersionedTables / rib::RouteUpdater, which consumes
+// FibDelta batches on a dedicated updater thread).
 #pragma once
 
 #include <algorithm>
@@ -86,57 +87,24 @@ FibDelta<A> diff(const Fib<A>& prev, const Fib<A>& next) {
   return d;
 }
 
-// Applies a delta to a plain table: prev + diff(prev, next) == next. Shared
-// by the versioned-table builder (both left-right buffers replay the same
-// deltas) and tests. Removals land before adds, mirroring applyLocalDelta.
+// Applies a delta to a plain table: prev + diff(prev, next) == next.
+// Removals land before adds, as in every consumer of a delta: a
+// withdraw-then-announce of nested prefixes passes through the narrower
+// table, never a wider one.
 template <typename A>
 void applyDelta(Fib<A>& fib, const FibDelta<A>& d) {
-  if (d.empty()) return;
   for (const auto& p : d.removed) fib.remove(p);
   for (const auto& e : d.added) fib.add(e.prefix, e.next_hop);
   for (const auto& e : d.rerouted) fib.add(e.prefix, e.next_hop);
 }
 
-// Applies a delta to a lookup suite and notifies a clue port. `SuiteT` is
-// lookup::LookupSuite<A>; `PortT` is core::CluePort<A> (templates avoid a
-// dependency cycle between rib and core). Removals run before adds so no
-// transient state ever widens a prefix: a withdraw-then-announce of nested
-// prefixes must pass through the narrower table, never a wider one.
-template <typename A, typename SuiteT, typename PortT>
-void applyLocalDelta(const FibDelta<A>& d, SuiteT& suite, PortT& port) {
-  if (d.empty()) return;  // refreshAfterChange is O(table); skip clean diffs
-  for (const auto& p : d.removed) {
-    suite.eraseRoute(p);
-    port.onLocalRouteChanged(p);
-  }
-  for (const auto& e : d.added) {
-    suite.insertRoute(e.prefix, e.next_hop);
-    port.onLocalRouteChanged(e.prefix);
-  }
-  for (const auto& e : d.rerouted) {
-    suite.insertRoute(e.prefix, e.next_hop);  // overwrite in place
-    port.onLocalRouteChanged(e.prefix);
-  }
-}
-
-// Neighbor-side counterpart: maintains the sender's prefix view `t1`
-// (shared with the port) and refreshes affected entries.
-template <typename A, typename PortT>
-void applyNeighborDelta(const FibDelta<A>& d, trie::BinaryTrie<A>& t1,
-                        PortT& port) {
-  if (d.empty()) return;
-  for (const auto& p : d.removed) {
-    t1.erase(p);
-    port.onNeighborRouteChanged(p);
-  }
-  for (const auto& e : d.added) {
-    t1.insert(e.prefix, e.next_hop);
-    port.onNeighborRouteChanged(e.prefix);
-  }
-  for (const auto& e : d.rerouted) {
-    t1.insert(e.prefix, e.next_hop);
-    port.onNeighborRouteChanged(e.prefix);
-  }
+// The same for a prefix trie — how a receiver keeps its view of the
+// sender's table (the Claim-1 neighbor trie) in step with the sender.
+template <typename A>
+void applyDelta(trie::BinaryTrie<A>& t, const FibDelta<A>& d) {
+  for (const auto& p : d.removed) t.erase(p);
+  for (const auto& e : d.added) t.insert(e.prefix, e.next_hop);
+  for (const auto& e : d.rerouted) t.insert(e.prefix, e.next_hop);
 }
 
 }  // namespace cluert::rib

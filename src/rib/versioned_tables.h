@@ -49,6 +49,7 @@
 #include "check/report.h"
 #include "check/trie_check.h"
 #include "common/check.h"
+#include "core/clue_maintenance.h"
 #include "core/clue_table.h"
 #include "core/distributed_lookup.h"
 #include "lookup/factory.h"
@@ -258,19 +259,16 @@ class VersionedTables {
     // entries are *dropped* here, not carried over: a missing entry is a
     // miss, and a miss routes correctly via the common lookup.
     v.clues = core::HashClueTable<A>(neighbor.size() + 16);
-    for (const PrefixT& c : neighbor.prefixes()) {
-      v.clues.insert(buildEntry(v, c));
-    }
+    const core::ClueMaintainer<A> m = maintainer(v);
+    for (const PrefixT& c : neighbor.prefixes()) v.clues.insert(m.build(c));
   }
 
-  core::ClueEntry<A> buildEntry(const TableVersion<A>& v,
-                                const PrefixT& clue) const {
-    return core::buildClueEntry<A>(*v.suite, &v.neighbor_trie, v.method,
-                                   v.mode, clue);
-  }
-
-  static bool related(const PrefixT& clue, const PrefixT& changed) {
-    return clue.isPrefixOf(changed) || changed.isPrefixOf(clue);
+  // The §3.4 maintenance rule over one buffer's tables.
+  static core::ClueMaintainer<A> maintainer(TableVersion<A>& v) {
+    return core::ClueMaintainer<A>{*v.suite, &v.neighbor_trie,
+                                   v.method, v.mode,
+                                   v.neighbor_index, v.clues,
+                                   /*indexed=*/nullptr};
   }
 
   bool wantsFullRebuild(const TableVersion<A>& v,
@@ -282,6 +280,9 @@ class VersionedTables {
   }
 
   // Receiver-side apply. Returns true when it took the full-rebuild path.
+  // The incremental path pays one engine rebuild for the whole batch and
+  // re-derives only the clue entries the maintenance rule selects, so a
+  // publish costs O(delta + affected entries), not O(clue table).
   bool applyLocal(TableVersion<A>& v, const FibDelta<A>& d) {
     if (wantsFullRebuild(v, d)) {
       Fib<A> local = v.local;
@@ -290,48 +291,15 @@ class VersionedTables {
       return true;
     }
     applyDelta(v.local, d);
-    std::vector<EntryT> upserts;
-    upserts.reserve(d.added.size() + d.rerouted.size());
-    upserts.insert(upserts.end(), d.added.begin(), d.added.end());
-    upserts.insert(upserts.end(), d.rerouted.begin(), d.rerouted.end());
-    // One engine rebuild for the whole batch (vs one per route through
-    // insertRoute/eraseRoute) — the point of the batched suite API.
-    v.suite->applyRouteDelta(d.removed, upserts);
-    // Refresh clue entries. Entries related to a changed prefix always need
-    // it (their FD or candidate set moved). Case-3 continuation anchors are
-    // method-dependent: kRegular/kPatricia anchor the *tries*, which the
-    // suite patches in place (a structural change at an anchor implies a
-    // related() prefix changed, so the first class already covers it);
-    // kBinary/kMultiway candidate tables are entry-owned shared_ptrs; kLogW
-    // stores only a length bound. Only kStride anchors nodes the engine
-    // rebuild frees — there, *every* case-3 entry must be rebuilt or the
-    // stale anchor is a use-after-free, which is exactly what the
-    // retired-version anchor validation would flag. Keeping the refresh
-    // related()-only for the other methods is what makes a publish
-    // O(delta), not O(clue table).
-    const bool anchors_dangle = v.method == lookup::Method::kStride;
-    // refreshIf keeps each slot's §3.4 marking.
-    v.clues.refreshIf(
-        [&](const core::ClueSlot<A>& s) {
-          if (anchors_dangle && s.kase() == core::ClueCase::kSearch) {
-            return true;
-          }
-          const PrefixT clue = s.clue();
-          for (const PrefixT& p : d.removed) {
-            if (related(clue, p)) return true;
-          }
-          for (const EntryT& u : upserts) {
-            if (related(clue, u.prefix)) return true;
-          }
-          return false;
-        },
-        [&](const PrefixT& clue) { return buildEntry(v, clue); });
+    v.suite->applyRouteDelta(d);
+    maintainer(v).onLocalDelta(d);
     return false;
   }
 
-  // Sender-side apply: update the neighbor view, mark withdrawn clues
-  // inactive (§3.4 — removal would break open-addressing probe chains),
-  // install entries for announcements, and refresh what Claim 1 depended on.
+  // Sender-side apply: update the neighbor view, then let the maintenance
+  // rule mark withdrawn clues inactive, install announced ones and refresh
+  // what Claim 1 depended on. No engine rebuild happens here, so engine
+  // anchors stay valid.
   bool applyNeighbor(TableVersion<A>& v, const FibDelta<A>& d) {
     if (wantsFullRebuild(v, d)) {
       Fib<A> neighbor = v.neighbor;
@@ -340,39 +308,8 @@ class VersionedTables {
       return true;
     }
     applyDelta(v.neighbor, d);
-    for (const PrefixT& p : d.removed) v.neighbor_trie.erase(p);
-    for (const EntryT& e : d.added) v.neighbor_trie.insert(e.prefix, e.next_hop);
-    for (const EntryT& e : d.rerouted) {
-      v.neighbor_trie.insert(e.prefix, e.next_hop);
-    }
-    if (v.mode == lookup::ClueMode::kAdvance) {
-      // Claim-1 continue bits are per-vertex state on the suite's tries;
-      // recompute them against the moved neighbor view. In-place: engine
-      // anchors stay valid (no engine rebuild happens here).
-      v.suite->annotateNeighbor(v.neighbor_index, v.neighbor_trie);
-    }
-    for (const PrefixT& p : d.removed) v.clues.setActive(p, false);
-    for (const EntryT& e : d.added) {
-      // Re-announce: fresh and active.
-      core::ClueEntry<A> fresh = buildEntry(v, e.prefix);
-      if (!v.clues.update(fresh)) v.clues.insert(std::move(fresh));
-    }
-    if (v.mode == lookup::ClueMode::kAdvance) {
-      // Claim-1 pruning consults the sender's subtree below each clue; any
-      // entry related to a changed prefix may prune differently now.
-      v.clues.refreshIf(
-          [&](const core::ClueSlot<A>& s) {
-            const PrefixT clue = s.clue();
-            for (const PrefixT& p : d.removed) {
-              if (related(clue, p)) return true;
-            }
-            for (const EntryT& u : d.added) {
-              if (related(clue, u.prefix)) return true;
-            }
-            return false;
-          },
-          [&](const PrefixT& clue) { return buildEntry(v, clue); });
-    }
+    applyDelta(v.neighbor_trie, d);
+    maintainer(v).onNeighborDelta(d);
     return false;
   }
 

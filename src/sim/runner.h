@@ -217,7 +217,6 @@ check::Report validateConfigState(const lookup::LookupSuite<A>& suite,
 
 template <typename A>
 RunResult runScenario(const Scenario<A>& s, const RunOptions<A>& opt = {}) {
-  using MatchT = trie::Match<A>;
   RunResult result;
   result.generated_packets = s.packets.size();
   result.faults_injected = s.faultCount();
@@ -287,35 +286,11 @@ RunResult runScenario(const Scenario<A>& s, const RunOptions<A>& opt = {}) {
         ++next_step;
         ++result.publishes;
         if (step.neighbor) {
-          for (const auto& p : step.delta.removed) t1.erase(p);
-          for (const auto& e : step.delta.added) {
-            t1.insert(e.prefix, e.next_hop);
-          }
-          for (const auto& e : step.delta.rerouted) {
-            t1.insert(e.prefix, e.next_hop);
-          }
-          if (advance) {
-            // Claim-1 annotations and related entries must track the
-            // sender's new view; Simple entries don't read t1 at all.
-            for (const auto& p : step.delta.removed) {
-              port.onNeighborRouteChanged(p);
-            }
-            for (const auto& e : step.delta.added) {
-              port.onNeighborRouteChanged(e.prefix);
-            }
-            for (const auto& e : step.delta.rerouted) {
-              port.onNeighborRouteChanged(e.prefix);
-            }
-          }
+          rib::applyDelta(t1, step.delta);
+          port.onNeighborDelta(step.delta);
         } else {
-          std::vector<MatchT> ups(step.delta.added);
-          ups.insert(ups.end(), step.delta.rerouted.begin(),
-                     step.delta.rerouted.end());
-          suite.applyRouteDelta(step.delta.removed, ups);
-          for (const auto& p : step.delta.removed) {
-            port.onLocalRouteChanged(p);
-          }
-          for (const auto& e : ups) port.onLocalRouteChanged(e.prefix);
+          suite.applyRouteDelta(step.delta);
+          port.onLocalDelta(step.delta);
         }
         if (opt.validate_publishes) {
           result.check_report.merge(

@@ -129,8 +129,9 @@ TEST(ClueCache, ClearedOnRouteChange) {
   mem::AccessCounter acc;
   port.process(a4("10.1.2.3"), ClueField::of(8), acc);  // fill
   // Receiver learns a more-specific: the cached FD would now be stale.
-  suite.insertRoute(p4("10.1.0.0/16"), 9);
-  port.onLocalRouteChanged(p4("10.1.0.0/16"));
+  const auto learned = testutil::announce(p4("10.1.0.0/16"), 9);
+  suite.applyRouteDelta(learned);
+  port.onLocalDelta(learned);
   mem::AccessCounter acc2;
   const auto r = port.process(a4("10.1.2.3"), ClueField::of(8), acc2);
   ASSERT_TRUE(r.match.has_value());
@@ -203,8 +204,10 @@ TEST(ClueCache, WithdrawnRouteNotServedFromCache) {
   ASSERT_TRUE(before.match.has_value());
   ASSERT_EQ(before.match->next_hop, 5u);  // cached now
 
-  ASSERT_TRUE(suite.eraseRoute(p4("10.1.0.0/16")));
-  port.onLocalRouteChanged(p4("10.1.0.0/16"));
+  const auto withdrawn = testutil::withdraw(p4("10.1.0.0/16"));
+  suite.applyRouteDelta(withdrawn);
+  ASSERT_FALSE(suite.binaryTrie().contains(p4("10.1.0.0/16")));
+  port.onLocalDelta(withdrawn);
 
   mem::AccessCounter acc2;
   const auto after = port.process(a4("10.1.2.3"), ClueField::of(16), acc2);

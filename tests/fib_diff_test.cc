@@ -49,9 +49,7 @@ TEST(FibDiff, RoundTripReconstructsTheNewTable) {
   // Applying the delta to `prev` gives exactly `next`.
   Fib4 rebuilt = prev;
   trie::BinaryTrie<A> trie = prev.buildTrie();
-  for (const auto& p : d.removed) trie.erase(p);
-  for (const auto& e : d.added) trie.insert(e.prefix, e.next_hop);
-  for (const auto& e : d.rerouted) trie.insert(e.prefix, e.next_hop);
+  applyDelta(trie, d);
   EXPECT_EQ(trie.prefixCount(), next.size());
   for (const auto& e : next.entries()) {
     EXPECT_EQ(trie.nextHopOf(e.prefix), e.next_hop) << e.prefix.toString();
@@ -78,12 +76,16 @@ TEST(FibDiff, ApplyDeltasKeepCluePortTransparent) {
   const auto new_receiver_entries =
       testutil::neighborOf(receiver_entries, rng, 0.85, 15, 0.5);
   Fib4 new_receiver{std::vector<Entry>(new_receiver_entries)};
-  applyLocalDelta(diff(receiver_fib, new_receiver), suite, port);
+  const auto receiver_delta = diff(receiver_fib, new_receiver);
+  suite.applyRouteDelta(receiver_delta);
+  port.onLocalDelta(receiver_delta);
 
   const auto new_sender_entries =
       testutil::neighborOf(sender_entries, rng, 0.9, 10, 0.5);
   Fib4 new_sender{std::vector<Entry>(new_sender_entries)};
-  applyNeighborDelta(diff(sender_fib, new_sender), t1, port);
+  const auto sender_delta = diff(sender_fib, new_sender);
+  applyDelta(t1, sender_delta);
+  port.onNeighborDelta(sender_delta);
 
   mem::AccessCounter scratch;
   for (int i = 0; i < 300; ++i) {
@@ -159,44 +161,50 @@ TEST(FibDiff, ApplyDeltaRoundTripsOnPlainFib) {
   EXPECT_EQ(rebuilt.size(), next.size());
 }
 
-// Recording doubles for the ordering contract: removals must reach the suite
-// and port strictly before any add/reroute, so no transient state ever
-// widens a prefix.
-struct RecordingSuite {
-  std::vector<std::string> ops;
-  void eraseRoute(const ip::Prefix4& p) { ops.push_back("erase " + p.toString()); }
-  void insertRoute(const ip::Prefix4& p, NextHop) {
-    ops.push_back("insert " + p.toString());
-  }
-};
-struct RecordingPort {
-  std::vector<std::string> ops;
-  void onLocalRouteChanged(const ip::Prefix4& p) {
-    ops.push_back("notify " + p.toString());
-  }
-};
-
+// The ordering contract every consumer of a delta keeps: removals land
+// before adds and reroutes, so no transient state ever widens a prefix. A
+// delta that withdraws and re-announces one prefix therefore ends with the
+// prefix present (the reverse order would drop it).
 TEST(FibDiff, ApplyLocalDeltaOrdersRemovalsBeforeAdds) {
   FibDelta4 d;
   d.removed.push_back(p4("10.1.0.0/16"));
-  d.added.push_back({p4("10.0.0.0/8"), 1});
+  d.added.push_back({p4("10.1.0.0/16"), 7});
   d.rerouted.push_back({p4("30.0.0.0/8"), 2});
-  RecordingSuite suite;
-  RecordingPort port;
-  applyLocalDelta(d, suite, port);
-  ASSERT_EQ(suite.ops.size(), 3u);
-  EXPECT_EQ(suite.ops[0], "erase 10.1.0.0/16");
-  EXPECT_EQ(suite.ops[1], "insert 10.0.0.0/8");
-  EXPECT_EQ(suite.ops[2], "insert 30.0.0.0/8");
-  ASSERT_EQ(port.ops.size(), 3u);
-  EXPECT_EQ(port.ops[0], "notify 10.1.0.0/16");  // withdraw notified first
+  Fib4 fib({Entry{p4("10.1.0.0/16"), 1}, Entry{p4("30.0.0.0/8"), 3}});
+  trie::BinaryTrie<A> trie = fib.buildTrie();
+  lookup::LookupSuite<A> suite(
+      std::vector<MatchT>(fib.entries().begin(), fib.entries().end()));
+  obs::MetricRegistry reg;
+  suite.exportMetrics(reg);
+  const obs::Counter& rebuilds = reg.counter("lookup_suite_rebuilds_total", "");
 
-  // Empty fast path: neither collaborator is touched.
-  RecordingSuite idle_suite;
-  RecordingPort idle_port;
-  applyLocalDelta(FibDelta4{}, idle_suite, idle_port);
-  EXPECT_TRUE(idle_suite.ops.empty());
-  EXPECT_TRUE(idle_port.ops.empty());
+  applyDelta(fib, d);
+  applyDelta(trie, d);
+  suite.applyRouteDelta(d);
+  EXPECT_EQ(rebuilds.value(), 1u);  // one engine rebuild for the batch
+  EXPECT_TRUE(fib.contains(p4("10.1.0.0/16")));
+  EXPECT_EQ(trie.nextHopOf(p4("10.1.0.0/16")), 7u);
+  EXPECT_EQ(trie.nextHopOf(p4("30.0.0.0/8")), 2u);
+  EXPECT_EQ(suite.binaryTrie().nextHopOf(p4("10.1.0.0/16")), 7u);
+  mem::AccessCounter acc;
+  for (const auto m : lookup::kAllMethods) {
+    const auto got = suite.engine(m).lookup(a4("10.1.2.3"), acc);
+    ASSERT_TRUE(got.has_value()) << lookup::methodName(m);
+    EXPECT_EQ(got->next_hop, 7u) << lookup::methodName(m);
+  }
+
+  // Empty delta: neither the suite nor a port is touched (the port keeps
+  // its §3.5 cache).
+  typename core::CluePort<A>::Options opt;
+  opt.mode = lookup::ClueMode::kSimple;
+  opt.cache_entries = 16;
+  core::CluePort<A> port(suite, nullptr, opt);
+  const auto generation = port.cache().generation();
+  suite.applyRouteDelta(FibDelta4{});
+  port.onLocalDelta(FibDelta4{});
+  port.onNeighborDelta(FibDelta4{});
+  EXPECT_EQ(rebuilds.value(), 1u);
+  EXPECT_EQ(port.cache().generation(), generation);
 }
 
 TEST(FibDiff, RouterApplyRouteUpdateMatchesFreshRouter) {

@@ -232,27 +232,13 @@ TEST(LinkState, ProtocolFibsDriveTheClueMachinery) {
   const auto new_sender = sim.fib(3);
   const auto new_receiver = sim.fib(4);
   // Receiver-side delta.
-  for (const auto& e : receiver_fib.entries()) {
-    if (!new_receiver.contains(e.prefix)) {
-      suite.eraseRoute(e.prefix);
-      port.onLocalRouteChanged(e.prefix);
-    }
-  }
-  for (const auto& e : new_receiver.entries()) {
-    suite.insertRoute(e.prefix, e.next_hop);
-    port.onLocalRouteChanged(e.prefix);
-  }
+  const auto receiver_delta = rib::diff(receiver_fib, new_receiver);
+  suite.applyRouteDelta(receiver_delta);
+  port.onLocalDelta(receiver_delta);
   // Sender-side delta (the neighbor view t1 is shared with the port).
-  for (const auto& e : sender_fib.entries()) {
-    if (!new_sender.contains(e.prefix)) {
-      t1.erase(e.prefix);
-      port.onNeighborRouteChanged(e.prefix);
-    }
-  }
-  for (const auto& e : new_sender.entries()) {
-    t1.insert(e.prefix, e.next_hop);
-    port.onNeighborRouteChanged(e.prefix);
-  }
+  const auto sender_delta = rib::diff(sender_fib, new_sender);
+  rib::applyDelta(t1, sender_delta);
+  port.onNeighborDelta(sender_delta);
   sender_fib = new_sender;
   check(new_receiver);
 }

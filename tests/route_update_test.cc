@@ -3,7 +3,10 @@
 // RouteUpdater's cross-queue publication ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
+#include <unordered_map>
 
 #include "core/distributed_lookup.h"
 #include "rib/route_updater.h"
@@ -14,7 +17,9 @@ namespace cluert {
 namespace {
 
 using testutil::a4;
+using testutil::announce;
 using testutil::p4;
+using testutil::withdraw;
 using A = ip::Ip4Addr;
 using MatchT = trie::Match<A>;
 using core::ClueField;
@@ -116,7 +121,7 @@ TEST(SuiteUpdate, AllEnginesSeeInsertedAndErasedRoutes) {
   std::vector<MatchT> current = entries;
   for (int i = 0; i < 10; ++i) {
     const auto fresh = ip::Prefix4(testutil::randomAddr4(rng), 20 + i);
-    suite.insertRoute(fresh, 1000 + i);
+    suite.applyRouteDelta(announce(fresh, 1000 + i));
     bool replaced = false;
     for (auto& e : current) {
       if (e.prefix == fresh) {
@@ -128,7 +133,7 @@ TEST(SuiteUpdate, AllEnginesSeeInsertedAndErasedRoutes) {
   }
   for (int i = 0; i < 10; ++i) {
     const auto& victim = current[static_cast<std::size_t>(i) * 7].prefix;
-    suite.eraseRoute(victim);
+    suite.applyRouteDelta(withdraw(victim));
     current.erase(std::remove_if(current.begin(), current.end(),
                                  [&](const MatchT& e) {
                                    return e.prefix == victim;
@@ -159,12 +164,12 @@ TEST(SuiteUpdate, AnnotationsAreReplayedAfterUpdates) {
   suite.annotateNeighbor(0, t1);
   // Adding a /24 under t1's /16 keeps Claim 1 intact at the /8 vertex (the
   // /16 still blocks the branch) — only if the annotation was replayed.
-  suite.insertRoute(p4("10.1.2.0/24"), 2);
+  suite.applyRouteDelta(announce(p4("10.1.2.0/24"), 2));
   const auto* v = suite.binaryTrie().findVertex(p4("10.0.0.0/8"));
   ASSERT_NE(v, nullptr);
   EXPECT_FALSE(trie::BinaryTrie4::continueBit(v, 0));
   // Adding a /24 outside the /16 re-opens the search.
-  suite.insertRoute(p4("10.3.3.0/24"), 3);
+  suite.applyRouteDelta(announce(p4("10.3.3.0/24"), 3));
   EXPECT_TRUE(trie::BinaryTrie4::continueBit(
       suite.binaryTrie().findVertex(p4("10.0.0.0/8")), 0));
 }
@@ -196,6 +201,16 @@ struct UpdateFixture {
     port->precompute(clues);
   }
 
+  void applyLocal(const rib::FibDelta4& d) {
+    suite->applyRouteDelta(d);
+    port->onLocalDelta(d);
+  }
+
+  void applyNeighbor(const rib::FibDelta4& d) {
+    rib::applyDelta(t1, d);
+    port->onNeighborDelta(d);
+  }
+
   void checkTransparency(Rng& rng, int samples) {
     mem::AccessCounter scratch;
     for (int i = 0; i < samples; ++i) {
@@ -225,8 +240,7 @@ TEST(CluePortUpdate, LocalInsertIsReflectedAfterRefresh) {
     addr = addr.withBit(b, 1);
   }
   const ip::Prefix4 fresh(addr, parent.length() + 2);
-  fx.suite->insertRoute(fresh, 777);
-  fx.port->onLocalRouteChanged(fresh);
+  fx.applyLocal(announce(fresh, 777));
   bool replaced = false;
   for (auto& e : fx.receiver) {
     if (e.prefix == fresh) {
@@ -244,8 +258,7 @@ TEST(CluePortUpdate, LocalEraseIsReflectedAfterRefresh) {
   for (int round = 0; round < 8; ++round) {
     const std::size_t victim_i = rng.index(fx.receiver.size());
     const auto victim = fx.receiver[victim_i].prefix;
-    fx.suite->eraseRoute(victim);
-    fx.port->onLocalRouteChanged(victim);
+    fx.applyLocal(withdraw(victim));
     fx.receiver.erase(fx.receiver.begin() +
                       static_cast<std::ptrdiff_t>(victim_i));
     fx.checkTransparency(rng, 100);
@@ -261,8 +274,7 @@ TEST(CluePortUpdate, NeighborChangeIsReflectedAfterRefresh) {
   for (int round = 0; round < 5; ++round) {
     const std::size_t victim_i = rng.index(fx.sender.size());
     const auto victim = fx.sender[victim_i].prefix;
-    fx.t1.erase(victim);
-    fx.port->onNeighborRouteChanged(victim);
+    fx.applyNeighbor(withdraw(victim));
     fx.sender.erase(fx.sender.begin() +
                     static_cast<std::ptrdiff_t>(victim_i));
     fx.checkTransparency(rng, 100);
@@ -279,14 +291,12 @@ TEST(CluePortUpdate, ChurnAcrossMethodsStaysTransparent) {
       if (round % 2 == 0 && !fx.receiver.empty()) {
         const std::size_t i = rng.index(fx.receiver.size());
         const auto victim = fx.receiver[i].prefix;
-        fx.suite->eraseRoute(victim);
-        fx.port->onLocalRouteChanged(victim);
+        fx.applyLocal(withdraw(victim));
         fx.receiver.erase(fx.receiver.begin() +
                           static_cast<std::ptrdiff_t>(i));
       } else {
         const ip::Prefix4 fresh(testutil::randomAddr4(rng), 22);
-        fx.suite->insertRoute(fresh, 555);
-        fx.port->onLocalRouteChanged(fresh);
+        fx.applyLocal(announce(fresh, 555));
         bool replaced = false;
         for (auto& e : fx.receiver) {
           if (e.prefix == fresh) {
@@ -334,6 +344,240 @@ TEST(CluePortUpdate, ReactivateRecomputesEntry) {
   ASSERT_TRUE(fx.port->reactivateClue(clue));
   Rng rng(6);
   fx.checkTransparency(rng, 100);
+}
+
+// §3.4 marking reaches the indexed table: a packet carrying an invalidated
+// clue's index takes the miss path (and still gets the right BMP) instead of
+// being answered from the indexed slot; reactivating brings the hit back.
+TEST(CluePortUpdate, MarkingReachesTheIndexedTable) {
+  Rng rng(9007);
+  const auto sender = testutil::randomTable4(rng, 150);
+  const auto receiver = testutil::neighborOf(sender, rng, 0.8, 25, 0.5);
+  trie::BinaryTrie<A> t1;
+  for (const auto& e : sender) t1.insert(e.prefix, e.next_hop);
+  LookupSuite<A> suite(receiver);
+  typename CluePort<A>::Options opt;
+  opt.mode = ClueMode::kAdvance;
+  opt.indexed = true;
+  opt.learn = false;  // a miss must not quietly re-install the entry
+  CluePort<A> port(suite, &t1, opt);
+  core::ClueIndexer<A> indexer;
+  std::vector<ip::Prefix4> clues;
+  for (const auto& e : sender) clues.push_back(e.prefix);
+  port.precomputeIndexed(clues, indexer);
+
+  // A destination whose genuine clue is a sender prefix itself.
+  mem::AccessCounter scratch;
+  std::optional<ip::Prefix4> clue;
+  ip::Ip4Addr dest;
+  for (int tries = 0; tries < 100 && !clue; ++tries) {
+    dest = testutil::coveredAddress<A>(sender, rng, testutil::randomAddr4);
+    if (const auto bmp = t1.lookup(dest, scratch)) clue = bmp->prefix;
+  }
+  ASSERT_TRUE(clue.has_value());
+  const auto index = indexer.indexOf(*clue);
+  ASSERT_TRUE(index.has_value());
+  const ClueField field = ClueField::indexed(clue->length(), *index);
+  const auto expect = testutil::bruteForceBmp(receiver, dest);
+  const auto expectMatch = [&](const CluePort<A>::Result& r) {
+    ASSERT_EQ(expect.has_value(), r.match.has_value());
+    if (expect) EXPECT_EQ(expect->prefix, r.match->prefix);
+  };
+
+  mem::AccessCounter acc;
+  const auto before = port.process(dest, field, acc);
+  ASSERT_TRUE(before.table_hit);
+  expectMatch(before);
+
+  ASSERT_TRUE(port.invalidateClue(*clue));
+  const auto inactive = port.process(dest, field, acc);
+  EXPECT_FALSE(inactive.table_hit) << "inactive indexed slot was served";
+  EXPECT_EQ(inactive.outcome, obs::Outcome::kMiss);
+  expectMatch(inactive);
+
+  ASSERT_TRUE(port.reactivateClue(*clue));
+  const auto after = port.process(dest, field, acc);
+  EXPECT_TRUE(after.table_hit);
+  expectMatch(after);
+}
+
+// ---------------------------------------------------------------------------
+// One maintenance rule: an in-place port and the versioned tables agree
+// ---------------------------------------------------------------------------
+
+// One entry in a form comparable across two suites: continuation anchors
+// are named by the prefix they stand for (each suite owns its own nodes),
+// everything else by value.
+std::string describeEntry(const core::ClueEntry<A>& e) {
+  std::string s = e.clue.toString();
+  s += e.active ? " active" : " inactive";
+  s += " fd=" + (e.fd ? e.fd->prefix.toString() + "->" +
+                            std::to_string(e.fd->next_hop)
+                      : std::string("-"));
+  s += " case=" + std::to_string(static_cast<int>(e.kase));
+  s += e.claim1_pruned ? " claim1" : "";
+  if (e.ptr_empty) return s + " ptr=-";
+  const lookup::Continuation<A>& c = e.cont;
+  s += " cont{" + c.clue.toString();
+  s += " trie=" + (c.trie_anchor != nullptr ? c.trie_anchor->prefix.toString()
+                                            : std::string("-"));
+  s += " patricia=" + (c.patricia_anchor != nullptr
+                           ? c.patricia_anchor->prefix.toString()
+                           : std::string("-"));
+  s += " candidates=" + std::to_string(c.candidate_count) +
+       (c.candidates != nullptr ? "+" : "-");
+  s += " max_len=" + std::to_string(c.max_len);
+  s += " stride=" + std::to_string(c.stride_depth) +
+       (c.stride_anchor != nullptr ? "+" : "-") + "}";
+  return s;
+}
+
+std::unordered_map<ip::Prefix4, std::string> decodeByClue(
+    const core::HashClueTable<A>& table) {
+  std::unordered_map<ip::Prefix4, std::string> out;
+  table.forEach([&](const core::ClueEntry<A>& e) {
+    out.emplace(e.clue, describeEntry(e));
+  });
+  return out;
+}
+
+// Every continuation must anchor the *current* nodes of its own suite: an
+// anchor the last engine rebuild freed is a use-after-free waiting for a
+// packet (the kStride rule).
+void expectFreshAnchors(const core::HashClueTable<A>& table,
+                        const LookupSuite<A>& suite,
+                        const trie::BinaryTrie<A>* t1, Method method,
+                        ClueMode mode, const std::string& where) {
+  table.forEach([&](const core::ClueEntry<A>& e) {
+    if (e.ptr_empty) return;
+    const auto fresh = core::buildClueEntry(suite, t1, method, mode, e.clue);
+    EXPECT_EQ(e.cont.trie_anchor, fresh.cont.trie_anchor)
+        << where << " " << e.clue.toString();
+    EXPECT_EQ(e.cont.patricia_anchor, fresh.cont.patricia_anchor)
+        << where << " " << e.clue.toString();
+    EXPECT_EQ(e.cont.stride_anchor, fresh.cont.stride_anchor)
+        << where << " stale stride anchor for " << e.clue.toString();
+  });
+}
+
+// A delta over `cur`: withdraws ~6% of its routes (remembered in
+// `withdrawn`), reroutes ~4%, announces four new routes — nested under an
+// existing one, so clue entries are related to them — and re-announces up
+// to two routes withdrawn earlier (an inactive clue coming back).
+rib::FibDelta4 churnDelta(const rib::Fib4& cur, std::vector<MatchT>& withdrawn,
+                          Rng& rng) {
+  std::vector<MatchT> next;
+  for (const auto& e : cur.entries()) {
+    const std::uint64_t roll = rng.uniform(0, 99);
+    if (roll < 6) {
+      withdrawn.push_back(e);
+    } else {
+      next.push_back(roll < 10 ? MatchT{e.prefix, e.next_hop + 100} : e);
+    }
+  }
+  const auto entries = cur.entries();
+  for (int i = 0; i < 4; ++i) {
+    const ip::Prefix4 parent = entries[rng.index(entries.size())].prefix;
+    const int len = std::min(32, parent.length() + 1 +
+                                     static_cast<int>(rng.uniform(0, 3)));
+    ip::Ip4Addr addr = parent.addr();
+    for (int b = parent.length(); b < len; ++b) {
+      addr = addr.withBit(b, static_cast<unsigned>(rng.u32() & 1));
+    }
+    next.push_back(MatchT{ip::Prefix4(addr, len),
+                          static_cast<NextHop>(900 + i)});
+  }
+  for (int i = 0; i < 2 && !withdrawn.empty(); ++i) {
+    next.push_back(withdrawn.front());
+    withdrawn.erase(withdrawn.begin());
+  }
+  return rib::diff(cur, rib::Fib4(std::move(next)));
+}
+
+// The same local and neighbor deltas, fed to a precomputed in-place port and
+// to a VersionedTables that never falls back to a full rebuild (so inactive
+// slots are kept), must leave identical clue tables behind: same clues, same
+// §3.4 marking, FD, case, Claim-1 attribution and continuation — for every
+// method, kStride included, under Simple and Advance. Both tables must also
+// validate clean and anchor only live nodes of their own suite.
+TEST(CluePortUpdate, InPlacePortEqualsVersionedTables) {
+  for (const Method method : lookup::kExtendedMethods) {
+    for (const ClueMode mode : {ClueMode::kSimple, ClueMode::kAdvance}) {
+      const std::string config = std::string(lookup::methodName(method)) +
+                                 "/" +
+                                 std::string(lookup::clueModeName(mode));
+      SCOPED_TRACE(config);
+      Rng rng(9100 + static_cast<std::uint64_t>(method));
+      const auto sender = testutil::randomTable4(rng, 150);
+      const auto receiver = testutil::neighborOf(sender, rng, 0.8, 25, 0.5);
+      rib::Fib4 send{std::vector<MatchT>(sender)};
+      rib::Fib4 recv{std::vector<MatchT>(receiver)};
+
+      rib::VersionedTables4::Options vopt;
+      vopt.method = method;
+      vopt.mode = mode;
+      vopt.full_rebuild_fraction = 1e9;
+      rib::VersionedTables4 vt(recv, send, vopt);
+
+      const bool advance = mode == ClueMode::kAdvance;
+      trie::BinaryTrie<A> t1 = send.buildTrie();
+      lookup::SuiteOptions sopt;
+      sopt.methods = lookup::methodBit(method);
+      LookupSuite<A> suite(receiver, sopt);
+      typename CluePort<A>::Options popt;
+      popt.method = method;
+      popt.mode = mode;
+      popt.expected_clues = sender.size() + 16;
+      CluePort<A> port(suite, advance ? &t1 : nullptr, popt);
+      port.precompute(send.prefixes());
+
+      std::vector<MatchT> recv_withdrawn, send_withdrawn;
+      std::size_t inactive_seen = 0;
+      for (int step = 0; step < 8; ++step) {
+        const bool neighbor = step % 2 == 1;
+        const std::string where = config + " step " + std::to_string(step);
+        if (neighbor) {
+          const auto d = churnDelta(send, send_withdrawn, rng);
+          rib::applyDelta(send, d);
+          rib::applyDelta(t1, d);
+          port.onNeighborDelta(d);
+          vt.publishNeighbor(d);
+        } else {
+          const auto d = churnDelta(recv, recv_withdrawn, rng);
+          rib::applyDelta(recv, d);
+          suite.applyRouteDelta(d);
+          port.onLocalDelta(d);
+          vt.publishLocal(d);
+        }
+        const rib::TableVersion<A>& v = vt.liveVersion();
+        const auto in_place = decodeByClue(port.hashTable());
+        const auto versioned = decodeByClue(v.clues);
+        ASSERT_EQ(in_place.size(), versioned.size()) << where;
+        for (const auto& [clue, entry] : in_place) {
+          const auto it = versioned.find(clue);
+          ASSERT_NE(it, versioned.end()) << where << " " << clue.toString();
+          EXPECT_EQ(entry, it->second) << where;
+          if (entry.find(" inactive") != std::string::npos) ++inactive_seen;
+        }
+        const trie::BinaryTrie<A>* port_t1 = advance ? &t1 : nullptr;
+        const trie::BinaryTrie<A>* version_t1 =
+            advance ? &v.neighbor_trie : nullptr;
+        const check::Report port_report = check::validate(
+            port.hashTable(), suite.binaryTrie(), port_t1, &suite.patricia());
+        EXPECT_TRUE(port_report.ok()) << where << port_report.toString();
+        const check::Report version_report =
+            check::validate(v.clues, v.suite->binaryTrie(), version_t1,
+                            &v.suite->patricia());
+        EXPECT_TRUE(version_report.ok()) << where << version_report.toString();
+        expectFreshAnchors(port.hashTable(), suite, port_t1, method, mode,
+                           where + " in-place");
+        expectFreshAnchors(v.clues, *v.suite, version_t1, method, mode,
+                           where + " versioned");
+      }
+      EXPECT_GT(inactive_seen, 0u) << "no withdrawn clue was ever kept";
+      EXPECT_EQ(vt.fullRebuilds(), 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "ip/prefix.h"
 #include "rib/fib.h"
+#include "rib/fib_diff.h"
 #include "rib/table_gen.h"
 #include "trie/binary_trie.h"
 
@@ -98,6 +99,20 @@ inline ip::Ip4Addr a4(const std::string& text) {
   const auto a = ip::Ip4Addr::parse(text);
   if (!a) throw std::runtime_error("bad address literal: " + text);
   return *a;
+}
+
+// One-route deltas, for tests that change a table a route at a time. An
+// announcement of a present prefix overwrites its next hop.
+inline rib::FibDelta4 announce(const ip::Prefix4& p, NextHop next_hop) {
+  rib::FibDelta4 d;
+  d.added.push_back({p, next_hop});
+  return d;
+}
+
+inline rib::FibDelta4 withdraw(const ip::Prefix4& p) {
+  rib::FibDelta4 d;
+  d.removed.push_back(p);
+  return d;
 }
 
 }  // namespace cluert::testutil

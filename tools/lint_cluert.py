@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint gates for cluert (ci.sh gate 8).
 
-Four rules, each encoding a concurrency/robustness contract that generic
+Five rules, each encoding a concurrency/robustness contract that generic
 tooling cannot check because it is a *project* convention (DESIGN.md §10):
 
   implicit-seq-cst   Every atomic operation must name its memory order.
@@ -26,6 +26,12 @@ tooling cannot check because it is a *project* convention (DESIGN.md §10):
                      arena code in src/mem/. A naked new/delete elsewhere
                      is either a leak risk or an ownership design smell.
 
+  clue-maintenance   Clue entries change after route updates through one
+                     rule, core/clue_maintenance.h (DESIGN.md §7). A
+                     refreshIf / setActive / setActiveIf call on a clue
+                     table anywhere else in src/ is a second copy of that
+                     rule, free to drift from the first.
+
 Suppression: append `// cluert-lint: allow(<rule>)` to the offending line.
 Exit status: 0 clean, 1 findings, 2 usage error. `--self-test` runs the
 rules against embedded positive/negative snippets and exits accordingly.
@@ -38,7 +44,13 @@ import pathlib
 import re
 import sys
 
-RULES = ("implicit-seq-cst", "live-access", "raw-assert", "raw-new-delete")
+RULES = (
+    "implicit-seq-cst",
+    "live-access",
+    "raw-assert",
+    "raw-new-delete",
+    "clue-maintenance",
+)
 
 # Files allowed to touch the raw epoch live-pointer surface.
 LIVE_ACCESS_ALLOWED = (
@@ -49,6 +61,12 @@ LIVE_ACCESS_ALLOWED = (
 
 # Allocation code is allowed to allocate.
 NEW_DELETE_ALLOWED_DIRS = ("src/mem/",)
+
+# The one clue-maintenance rule, and the tables that define its primitives.
+CLUE_MAINTENANCE_ALLOWED = (
+    "src/core/clue_maintenance.h",
+    "src/core/clue_table.h",
+)
 
 ATOMIC_METHODS = (
     "load",
@@ -149,6 +167,8 @@ ASSERT_RE = re.compile(r"(?<![a-zA-Z0-9_])assert\s*\(")
 NEW_RE = re.compile(r"(?<![a-zA-Z0-9_:.])new\b(?!\s*\()")
 DELETE_RE = re.compile(r"(?<![a-zA-Z0-9_:.])delete(\s*\[\s*\])?\b")
 
+CLUE_MUTATION_RE = re.compile(r"(?:\.|->)\s*(refreshIf|setActive(?:If)?)\s*\(")
+
 
 def line_of(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
@@ -241,6 +261,25 @@ def check_file(relpath: str, raw: str) -> list:
                         "raw-new-delete",
                         f"raw `{what}` outside src/mem/ — use containers, "
                         "unique_ptr, or the arena allocators",
+                    )
+                )
+
+    # clue-maintenance ------------------------------------------------------
+    if relpath.startswith("src/") or "/src/" in relpath:
+        if not any(relpath.endswith(a) for a in CLUE_MAINTENANCE_ALLOWED):
+            for m in CLUE_MUTATION_RE.finditer(text):
+                lineno = line_of(text, m.start())
+                ltxt = line_text(lines, lineno)
+                if suppressed(ltxt, "clue-maintenance"):
+                    continue
+                findings.append(
+                    Finding(
+                        relpath,
+                        lineno,
+                        "clue-maintenance",
+                        f"{m.group(1)}() on a clue table outside "
+                        "core/clue_maintenance.h — route the update through "
+                        "ClueMaintainer so there is one maintenance rule",
                     )
                 )
 
@@ -372,6 +411,43 @@ SELF_TEST_CASES = [
         "new in string literal ok",
         'const char* s = "brand new delete this";',
         "src/x.h",
+        None,
+    ),
+    (
+        "clue refresh outside the maintenance rule",
+        "void f(V& v) { v.clues.refreshIf(stale, build); }",
+        "src/rib/versioned_tables.h",
+        "clue-maintenance",
+    ),
+    (
+        "clue marking through a pointer outside the rule",
+        "void f(T* t, const P& p) { t->setActive(p, false); }",
+        "src/net/router.h",
+        "clue-maintenance",
+    ),
+    (
+        "clue marking scan outside the rule",
+        "void f(T& t) { t.setActiveIf(pick, true); }",
+        "src/core/distributed_lookup.h",
+        "clue-maintenance",
+    ),
+    (
+        "clue refresh inside the maintenance rule ok",
+        "void f(T& hash) { hash.refreshIf(stale, build); }",
+        "src/core/clue_maintenance.h",
+        None,
+    ),
+    (
+        "suppressed clue refresh",
+        "void f(T& t) { t.refreshIf(s, b); }"
+        "  // cluert-lint: allow(clue-maintenance)",
+        "src/sim/runner.h",
+        None,
+    ),
+    (
+        "clue refresh in a test ok",
+        "void f(T& t) { t.setActive(p, false); }",
+        "tests/clue_table_test.cc",
         None,
     ),
 ]

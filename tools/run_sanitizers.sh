@@ -41,7 +41,10 @@ cd "$(dirname "$0")/.."
 # ClueTable*/ClueCache* cover the 16-byte slot encoding and the
 # continuation side vector its Ptr indexes (src/core/clue_table.h) — index
 # arithmetic ASan and UBSan should watch.
-DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|DistributedLookup|ClueTable|ClueCache|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater"
+# SuiteUpdate/CluePortUpdate/FibDiff/LinkState drive in-place clue
+# maintenance (src/core/clue_maintenance.h): engine rebuilds under live
+# continuation anchors — the kStride use-after-free class ASan exists for.
+DEFAULT_FILTER="SpscRing|Pipeline|LookupBatch|DistributedLookup|ClueTable|ClueCache|RngForThread|AccessCounter|Check|Obs|Versioned|Churn|Sim(Generator|Faults|Corpus|Differential)|Shrink|CorpusReplay|Flight|Span|Trace|Topo|RouteUpdater|SuiteUpdate|CluePortUpdate|FibDiff|LinkState"
 
 SANITIZERS=()
 FILTER="$DEFAULT_FILTER"
