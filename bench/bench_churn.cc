@@ -4,7 +4,10 @@
 // thread publishes epoch-versioned table swaps (src/rib/versioned_tables.h)
 // while the 4-worker pipeline forwards, measuring
 //   (a) data-plane throughput under churn vs a no-churn baseline on the same
-//       versioned machinery (the acceptance bar: within 15%), and
+//       versioned machinery (the acceptance bar: within 15%) — K
+//       interleaved repetitions of a baseline window and a churn window,
+//       each at least bench::kMinWindowSeconds long, reported as the median
+//       and min/max of the per-repetition ratio — and
 //   (b) control-plane update latency (enqueue -> published) percentiles.
 //
 // Fault-injection shape: bursty withdraw/re-announce on the receiver table
@@ -46,6 +49,9 @@ struct Params {
   std::size_t workers = 4;
   std::size_t batch = 32;
 };
+
+// Interleaved baseline/churn window pairs per run (smoke and full alike).
+constexpr std::size_t kReps = 5;
 
 std::size_t envSize(const char* name, std::size_t fallback) {
   if (const char* s = std::getenv(name)) {
@@ -93,8 +99,9 @@ rib::FibDelta4 makeDelta(Rng& rng, rib::Fib4& cur,
 }
 
 struct Churn {
-  double baseline_pps = 0.0;
-  double churn_pps = 0.0;
+  Summary baseline_pps;
+  Summary churn_pps;
+  Summary churn_over_baseline;  // per repetition
   std::uint64_t publishes = 0;
   std::uint64_t swaps = 0;
   std::uint64_t full_rebuilds = 0;
@@ -189,7 +196,6 @@ int run(const Params& pp) {
   pipeline::PipelineOptions popt;
   popt.workers = pp.workers;
   popt.batch_size = pp.batch;
-  popt.ring_batches = 32;
   popt.method = lookup::Method::kPatricia;
   popt.mode = lookup::ClueMode::kSimple;
   popt.cache_entries = 256;
@@ -198,79 +204,99 @@ int run(const Params& pp) {
 
   Churn out;
   // One pair of output buffers for the whole bench: every run (baseline and
-  // churn alike) writes the same memory, so the phases differ only in what
-  // the updater thread is doing — not in allocation behaviour.
+  // churn alike) writes the same memory and records pinned versions, so the
+  // phases differ only in what the updater thread is doing — not in
+  // allocation or bookkeeping.
   std::vector<NextHop> got(inputs.size(), kNoNextHop);
   std::vector<std::uint64_t> vgot(inputs.size(), 0);
+  // Smoke oracle: every packet of a run against the quiescent answer at
+  // the version its batch pinned (right after the run — the buffers are
+  // reused by the next one).
+  const auto verify = [&] {
+    std::unordered_map<std::uint64_t, std::vector<NextHop>> rows;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const std::uint64_t seq = vgot[i];
+      ++out.oracle_checked;
+      if (seq == 0) {  // versioned runs always pin; 0 is itself a bug
+        ++out.oracle_mismatches;
+        continue;
+      }
+      auto it = rows.find(seq);
+      if (it == rows.end()) it = rows.emplace(seq, fetchRow(seq)).first;
+      if (got[i] != it->second[pool_idx[i]]) ++out.oracle_mismatches;
+    }
+  };
 
-  // Phase 1 — no-churn baseline on the *same* versioned machinery (so the
-  // comparison isolates churn, not pin/bind overhead), median of 3: on a
-  // loaded or few-core host the scheduler makes best-of flatter runs look
-  // better than any churn-phase mean could.
-  double reps[3] = {0, 0, 0};
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto stats = pipe.run(inputs, got);
-    reps[rep] = stats.packetsPerSec();
-  }
-  std::sort(reps, reps + 3);
-  out.baseline_pps = reps[1];
-  std::printf("baseline (no churn): %.2f Mpps\n", out.baseline_pps / 1e6);
-
-  // Phase 2 — forwarding while the updater publishes bursty deltas.
   rib::Fib4 cur_local = receiver;
   rib::Fib4 cur_neighbor = sender;
   std::vector<Entry> wd_local, wd_neighbor;
-  Summary run_pps;
-  std::uint64_t churn_packets = 0;
-  double churn_seconds = 0.0;
   {
     rib::RouteUpdater4 updater(vt);
     std::uint64_t enqueued = 0;
-    while (updater.published() < pp.target_publishes) {
-      // One delta per run — a withdraw/re-announce/reroute burst of ~20
-      // routes, receiver-side three times out of four, sender-side (the
-      // stale-clue injector) the fourth. At ~ms runs that is still hundreds
-      // of bursty publishes per second, an order past real BGP churn;
-      // cramming more per run would just measure control-plane CPU share on
-      // a small host, not data-plane degradation. The backlog guard keeps
-      // the queue a burst even when publishes outpace runs, so the latency
-      // summary measures apply+grace, not queueing delay.
-      if (enqueued < updater.published() + 48) {
-        if (enqueued % 4 == 3) {
-          auto d = makeDelta(rng, cur_neighbor, wd_neighbor, 8, false);
-          if (!d.empty()) {
-            updater.enqueueNeighbor(std::move(d));
-            ++enqueued;
-          }
-        } else {
-          auto d = makeDelta(rng, cur_local, wd_local, 8, true);
-          if (!d.empty()) {
-            updater.enqueueLocal(std::move(d));
-            ++enqueued;
-          }
+    // One delta per run — a withdraw/re-announce/reroute burst of ~20
+    // routes, receiver-side three times out of four, sender-side (the
+    // stale-clue injector) the fourth. At ~ms runs that is still hundreds
+    // of bursty publishes per second, an order past real BGP churn;
+    // cramming more per run would just measure control-plane CPU share on
+    // a small host, not data-plane degradation. The backlog guard keeps
+    // the queue a burst even when publishes outpace runs, so the latency
+    // summary measures apply+grace, not queueing delay.
+    const auto enqueueOne = [&] {
+      if (enqueued >= updater.published() + 48) return;
+      if (enqueued % 4 == 3) {
+        auto d = makeDelta(rng, cur_neighbor, wd_neighbor, 8, false);
+        if (!d.empty()) {
+          updater.enqueueNeighbor(std::move(d));
+          ++enqueued;
+        }
+      } else {
+        auto d = makeDelta(rng, cur_local, wd_local, 8, true);
+        if (!d.empty()) {
+          updater.enqueueLocal(std::move(d));
+          ++enqueued;
         }
       }
-      const auto stats = pipe.run(inputs, got, vgot);
-      churn_packets += stats.packets;
-      churn_seconds += stats.seconds;
-      run_pps.add(stats.packetsPerSec());
-      out.version_changes += stats.version_changes;
-      if (pp.smoke) {
-        // Verify this run right away (the buffers are reused next run):
-        // every packet against the quiescent oracle at its pinned version.
-        std::unordered_map<std::uint64_t, std::vector<NextHop>> rows;
-        for (std::size_t i = 0; i < inputs.size(); ++i) {
-          const std::uint64_t seq = vgot[i];
-          ++out.oracle_checked;
-          if (seq == 0) {  // versioned runs always pin; 0 is itself a bug
-            ++out.oracle_mismatches;
-            continue;
-          }
-          auto it = rows.find(seq);
-          if (it == rows.end()) it = rows.emplace(seq, fetchRow(seq)).first;
-          if (got[i] != it->second[pool_idx[i]]) ++out.oracle_mismatches;
+    };
+    // Runs the pipeline back to back for at least one window (and, under
+    // churn, until the updater has published `publish_goal` versions);
+    // returns the window's packets per second of pipeline time, so the
+    // oracle checks between runs cost the rate nothing.
+    const auto window = [&](bool churn, std::uint64_t publish_goal) {
+      std::uint64_t packets = 0;
+      double seconds = 0.0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (;;) {
+        if (churn) enqueueOne();
+        const auto stats = pipe.run(inputs, got, vgot);
+        packets += stats.packets;
+        seconds += stats.seconds;
+        if (churn) out.version_changes += stats.version_changes;
+        if (pp.smoke) verify();
+        const double elapsed = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+        if (elapsed >= bench::kMinWindowSeconds &&
+            (!churn || updater.published() >= publish_goal)) {
+          break;
         }
       }
+      return seconds > 0 ? static_cast<double>(packets) / seconds : 0.0;
+    };
+
+    // Interleaved repetitions: a no-churn baseline window on the *same*
+    // versioned machinery (so the comparison isolates churn, not pin/bind
+    // overhead; the updater's queue is drained first, so it sleeps), then
+    // a churn window carrying its share of the publishes. A noisy stretch
+    // on the host hits neighbouring windows alike, so the per-repetition
+    // ratio is steadier than either rate.
+    for (std::size_t rep = 0; rep < kReps; ++rep) {
+      updater.flush();
+      const double base = window(false, 0);
+      const double churn =
+          window(true, pp.target_publishes * (rep + 1) / kReps);
+      out.baseline_pps.add(base);
+      out.churn_pps.add(churn);
+      out.churn_over_baseline.add(base > 0 ? churn / base : 0.0);
     }
     updater.stop();
     out.publishes = updater.published();
@@ -278,19 +304,18 @@ int run(const Params& pp) {
   }
   out.swaps = vt.swaps();
   out.full_rebuilds = vt.fullRebuilds();
-  // Median per-run throughput, against the median baseline: the aggregate
-  // mean also lands in the JSON, but a few scheduler-starved runs shouldn't
-  // define the headline ratio.
-  out.churn_pps = run_pps.percentile(50);
-  const double churn_pps_mean =
-      churn_seconds > 0 ? static_cast<double>(churn_packets) / churn_seconds
-                        : 0.0;
-  const double ratio =
-      out.baseline_pps > 0 ? out.churn_pps / out.baseline_pps : 0.0;
   std::printf(
-      "under churn: %.2f Mpps (%.1f%% of baseline) | %llu publishes, "
-      "%llu swaps (%llu full rebuilds), %llu swaps seen by workers\n",
-      out.churn_pps / 1e6, ratio * 100.0,
+      "baseline (no churn): %.2f Mpps median [%.2f-%.2f]\n"
+      "under churn: %.2f Mpps median [%.2f-%.2f] = %.1f%% of baseline "
+      "[%.1f%%-%.1f%%] over %zu interleaved window pairs\n"
+      "%llu publishes, %llu swaps (%llu full rebuilds), %llu swaps seen by "
+      "workers\n",
+      out.baseline_pps.percentile(50) / 1e6, out.baseline_pps.min() / 1e6,
+      out.baseline_pps.max() / 1e6, out.churn_pps.percentile(50) / 1e6,
+      out.churn_pps.min() / 1e6, out.churn_pps.max() / 1e6,
+      out.churn_over_baseline.percentile(50) * 100.0,
+      out.churn_over_baseline.min() * 100.0,
+      out.churn_over_baseline.max() * 100.0, kReps,
       static_cast<unsigned long long>(out.publishes),
       static_cast<unsigned long long>(out.swaps),
       static_cast<unsigned long long>(out.full_rebuilds),
@@ -316,10 +341,11 @@ int run(const Params& pp) {
   w.field("workers", static_cast<std::uint64_t>(pp.workers));
   w.field("batch", static_cast<std::uint64_t>(pp.batch));
   w.field("mode", "simple");
-  w.field("baseline_pps", out.baseline_pps);
-  w.field("churn_pps", out.churn_pps);
-  w.field("churn_pps_mean", churn_pps_mean);
-  w.field("churn_over_baseline", ratio);
+  w.field("reps", static_cast<std::uint64_t>(kReps));
+  w.field("min_window_s", bench::kMinWindowSeconds);
+  bench::writeSpread(w, "baseline_pps", out.baseline_pps);
+  bench::writeSpread(w, "churn_pps", out.churn_pps);
+  bench::writeSpread(w, "churn_over_baseline", out.churn_over_baseline);
   w.field("publishes", out.publishes);
   w.field("swaps", out.swaps);
   w.field("full_rebuilds", out.full_rebuilds);

@@ -1,25 +1,28 @@
 // Experiment E12 — wall-clock throughput.
 //
 // Part 1 (always): the pipeline sweep. Drives the same generated
-// sender/receiver pair through the batched multi-worker pipeline for every
-// combination of worker count {1,2,4,8} and batch size {1,8,32}, verifies
-// each configuration forwards identically to the sequential baseline, and
-// writes machine-readable results to BENCH_throughput.json so the perf
-// trajectory is tracked across PRs.
+// sender/receiver pair through the batched multi-worker pipeline at worker
+// counts {1,2,4} and batch sizes {1,32}, interleaved with the sequential
+// process() loop it is compared against (per-core scaling as a ratio to the
+// same run's sequential rate), verifies each configuration forwards
+// identically to the sequential baseline, and writes machine-readable
+// results to BENCH_throughput.json so the perf trajectory is tracked
+// across PRs.
 //
 // Part 2 (skipped with --sweep-only or CLUERT_SWEEP_ONLY=1): the original
 // google-benchmark comparison of the 15 method combinations, confirming the
 // paper's memory-access ordering also holds for modern-CPU wall time.
 //
 // --smoke runs neither part: it is the tools/ci.sh hot-path gate — a fixed
-// deterministic sharded run whose accesses/packet, shard imbalance and
-// steady-state allocation count are written to BENCH_throughput_smoke.prom
-// for metrics_diff.py to gate against the committed baseline.
+// deterministic sharded run whose accesses/packet, shard imbalance,
+// steady-state allocation count and rate over the sequential loop are
+// written to BENCH_throughput_smoke.prom for metrics_diff.py to gate.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -74,16 +77,69 @@ Workbench& workbench() {
   return wb;
 }
 
+// The §6 destination sample cycled up to `packets` — the same distribution
+// the google-benchmark part measures.
+std::vector<pipeline::Pipeline4::Input> cycledInputs(const Workbench& wb,
+                                                     std::size_t packets) {
+  std::vector<pipeline::Pipeline4::Input> inputs;
+  inputs.reserve(packets);
+  for (std::size_t i = 0; i < packets; ++i) {
+    const std::size_t j = i % wb.dests.size();
+    inputs.push_back({wb.dests[j], wb.clues[j]});
+  }
+  return inputs;
+}
+
+pipeline::PipelineOptions pipelineOptions(const Workbench& wb,
+                                          std::size_t workers,
+                                          std::size_t batch) {
+  pipeline::PipelineOptions opt;
+  opt.workers = workers;
+  opt.batch_size = batch;
+  opt.method = lookup::Method::kPatricia;
+  opt.mode = lookup::ClueMode::kAdvance;
+  opt.learn = false;
+  opt.expected_clues = wb.sender.size() + 16;
+  return opt;
+}
+
+// The sequential reference, also the correctness oracle: one CluePort, one
+// thread, one process() call per packet — no pipeline machinery at all.
+class SequentialRef {
+ public:
+  explicit SequentialRef(Workbench& wb)
+      : port_(*wb.suite, &wb.t1, options(wb)) {
+    port_.precompute(wb.sender.prefixes());
+  }
+
+  void run(std::span<const pipeline::Pipeline4::Input> in,
+           std::span<NextHop> out) {
+    acc_.reset();
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const auto r = port_.process(in[i].dest, in[i].clue, acc_);
+      out[i] = r.match ? r.match->next_hop : kNoNextHop;
+    }
+  }
+
+  const mem::AccessCounter& accesses() const { return acc_; }
+
+ private:
+  static core::CluePort<A>::Options options(const Workbench& wb) {
+    core::CluePort<A>::Options popt;
+    popt.method = lookup::Method::kPatricia;
+    popt.mode = lookup::ClueMode::kAdvance;
+    popt.learn = false;
+    popt.expected_clues = wb.sender.size() + 16;
+    return popt;
+  }
+
+  core::CluePort<A> port_;
+  mem::AccessCounter acc_;
+};
+
 // ---------------------------------------------------------------------------
 // Part 1: pipeline sweep -> BENCH_throughput.json
 // ---------------------------------------------------------------------------
-
-struct SweepRow {
-  std::size_t workers = 0;
-  std::size_t batch = 0;
-  pipeline::PipelineStats stats;
-  bool matches_baseline = false;
-};
 
 std::size_t sweepPackets() {
   if (const char* s = std::getenv("CLUERT_SWEEP_PACKETS")) {
@@ -93,17 +149,16 @@ std::size_t sweepPackets() {
   return 500'000;
 }
 
-// Each configuration is timed `reps` times and the fastest run is reported.
-// Best-of-N is the standard defence against scheduler noise — on a small
-// (even single-core) box a worker thread can lose its timeslice mid-run and
-// inflate one measurement by 10-100ms, which would otherwise drown the
-// effect being measured.
+// Interleaved repetitions: each one times the sequential reference and then
+// every configuration over one bench::kMinWindowSeconds window apiece, so a
+// noisy stretch on the host lands on every series alike and shows as
+// spread rather than as one configuration's "result".
 std::size_t sweepReps() {
   if (const char* s = std::getenv("CLUERT_SWEEP_REPS")) {
     const long v = std::atol(s);
     if (v > 0) return static_cast<std::size_t>(v);
   }
-  return 3;
+  return 5;
 }
 
 // "requested N workers but only H hardware threads" annotation for a sweep
@@ -122,112 +177,92 @@ std::string oversubNote(const pipeline::PipelineStats& s, std::size_t hc) {
   return note;
 }
 
+struct SweepRow {
+  std::size_t workers = 0;
+  std::size_t batch = 0;
+  std::unique_ptr<pipeline::Pipeline4> pipe;
+  pipeline::PipelineStats stats;  // of the row's last run
+  Summary pps;
+  Summary over_sequential;  // per repetition: pps / that rep's sequential pps
+  bool matches_baseline = true;
+};
+
 void runPipelineSweep() {
   Workbench& wb = workbench();
-  const std::size_t packets = sweepPackets();
   const std::size_t reps = sweepReps();
   const std::size_t hc =
       static_cast<std::size_t>(std::thread::hardware_concurrency());
   const auto clue_universe = wb.sender.prefixes();
+  const auto inputs = cycledInputs(wb, sweepPackets());
+  const std::size_t n = inputs.size();
 
-  // The input stream: the §6 destination sample cycled up to `packets` —
-  // the same distribution the google-benchmark part measures.
-  std::vector<pipeline::Pipeline4::Input> inputs;
-  inputs.reserve(packets);
-  for (std::size_t i = 0; i < packets; ++i) {
-    const std::size_t j = i % wb.dests.size();
-    inputs.push_back({wb.dests[j], wb.clues[j]});
-  }
-
-  // Sequential reference (also the correctness oracle): one CluePort, one
-  // thread, one packet at a time — no pipeline machinery at all.
-  typename core::CluePort<A>::Options popt;
-  popt.method = lookup::Method::kPatricia;
-  popt.mode = lookup::ClueMode::kAdvance;
-  popt.learn = false;
-  popt.expected_clues = wb.sender.size() + 16;
-  core::CluePort<A> ref_port(*wb.suite, &wb.t1, popt);
-  ref_port.precompute(clue_universe);
-  std::vector<NextHop> expect(inputs.size(), kNoNextHop);
-  mem::AccessCounter ref_acc;
-  double ref_seconds = 0.0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    ref_acc.reset();
-    const auto ref_t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const auto r = ref_port.process(inputs[i].dest, inputs[i].clue, ref_acc);
-      expect[i] = r.match ? r.match->next_hop : kNoNextHop;
-    }
-    const double s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - ref_t0)
-                         .count();
-    if (rep == 0 || s < ref_seconds) ref_seconds = s;
-  }
-  const double npkts = static_cast<double>(inputs.size());
-  std::printf("sequential reference: %.2f Mpps (%.3f acc/pkt)\n",
-              npkts / ref_seconds / 1e6,
-              static_cast<double>(ref_acc.total()) / npkts);
+  SequentialRef ref(wb);
+  std::vector<NextHop> expect(n, kNoNextHop);
+  ref.run(inputs, expect);
+  const double ref_acc = static_cast<double>(ref.accesses().total()) /
+                         static_cast<double>(n);
 
   std::vector<SweepRow> rows;
-  for (const std::size_t workers : {1, 2, 4, 8}) {
-    for (const std::size_t batch : {1, 8, 32}) {
-      pipeline::PipelineOptions opt;
-      opt.workers = workers;
-      opt.batch_size = batch;
-      // Ring depth 32 batches (~45 KiB of staged slots per worker): deep
-      // enough that a descheduled worker doesn't stall the producer, shallow
-      // enough that every staged batch is still cache-resident when the
-      // consumer reaches it. Measured best for the batched configurations on
-      // this host; the same depth is used for every configuration.
-      opt.ring_batches = 32;
-      opt.method = lookup::Method::kPatricia;
-      opt.mode = lookup::ClueMode::kAdvance;
-      opt.learn = false;
-      opt.expected_clues = wb.sender.size() + 16;
+  for (const std::size_t workers : {1, 2, 4}) {
+    for (const std::size_t batch : {1, 32}) {
       SweepRow row;
       row.workers = workers;
       row.batch = batch;
-      row.matches_baseline = true;
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        // Fresh pipeline per rep: worker stats and counters start from zero,
-        // so every rep measures the same work.
-        pipeline::Pipeline4 pipe(*wb.suite, &wb.t1, opt);
-        pipe.precompute(clue_universe);
-        std::vector<NextHop> got(inputs.size(), kNoNextHop);
-        const auto stats = pipe.run(inputs, got);
-        row.matches_baseline = row.matches_baseline && got == expect;
-        if (rep == 0 || stats.seconds < row.stats.seconds) row.stats = stats;
-      }
-      std::printf("%s%s%s\n", pipeline::formatStats(row.stats).c_str(),
-                  oversubNote(row.stats, hc).c_str(),
-                  row.matches_baseline ? "" : "  !! OUTPUT MISMATCH");
+      row.pipe = std::make_unique<pipeline::Pipeline4>(
+          *wb.suite, &wb.t1, pipelineOptions(wb, workers, batch));
+      row.pipe->precompute(clue_universe);
       rows.push_back(std::move(row));
     }
   }
 
-  auto pps = [&](std::size_t workers, std::size_t batch) {
-    for (const auto& r : rows) {
-      if (r.workers == workers && r.batch == batch) {
-        return r.stats.packetsPerSec();
-      }
+  Summary sequential_pps;
+  std::vector<NextHop> scratch(n, kNoNextHop);
+  std::vector<NextHop> got(n, kNoNextHop);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const double seq =
+        bench::windowRate(n, [&] { ref.run(inputs, scratch); });
+    sequential_pps.add(seq);
+    for (auto& row : rows) {
+      std::fill(got.begin(), got.end(), kNoNextHop);
+      const double pps = bench::windowRate(
+          n, [&] { row.stats = row.pipe->run(inputs, got); });
+      row.matches_baseline = row.matches_baseline && got == expect &&
+                             row.stats.packets == n;
+      row.pps.add(pps);
+      row.over_sequential.add(pps / seq);
     }
-    return 0.0;
-  };
-  const double speedup = pps(1, 1) > 0 ? pps(4, 32) / pps(1, 1) : 0.0;
-  std::printf("speedup 4w/b32 vs 1w/b1: %.2fx\n", speedup);
+  }
+
+  std::printf("sequential reference: %.2f Mpps median [%.2f-%.2f] "
+              "(%.3f acc/pkt), %zu reps of >=%.0f ms\n",
+              sequential_pps.percentile(50) / 1e6, sequential_pps.min() / 1e6,
+              sequential_pps.max() / 1e6, ref_acc, reps,
+              bench::kMinWindowSeconds * 1e3);
+  for (const auto& r : rows) {
+    std::printf(
+        "%zuw x b%zu: %.2f Mpps median [%.2f-%.2f] = %.2fx sequential "
+        "[%.2f-%.2f] | %.3f acc/pkt | shard imbalance %.3f%s%s\n",
+        r.stats.workers, r.batch, r.pps.percentile(50) / 1e6,
+        r.pps.min() / 1e6, r.pps.max() / 1e6,
+        r.over_sequential.percentile(50), r.over_sequential.min(),
+        r.over_sequential.max(), r.stats.accessesPerPacket(),
+        r.stats.shardImbalance(), oversubNote(r.stats, hc).c_str(),
+        r.matches_baseline ? "" : "  !! OUTPUT MISMATCH");
+  }
 
   std::ofstream json("BENCH_throughput.json");
   bench::JsonWriter w(json);
   w.beginDocument("throughput_pipeline_sweep");
   w.field("table_size", wb.receiver.size());
   w.field("destinations", wb.dests.size());
-  w.field("packets_per_config", inputs.size());
-  w.field("reps_best_of", reps);
+  w.field("packets_per_pass", n);
+  w.field("reps", reps);
+  w.field("min_window_s", bench::kMinWindowSeconds);
   w.field("method", "patricia");
   w.field("mode", "advance");
   w.field("hardware_concurrency", hc);
   w.field("alloc_hook_active", mem::allocHookActive());
-  w.field("sequential_pps", npkts / ref_seconds);
+  bench::writeSpread(w, "sequential_pps", sequential_pps);
   w.beginArray("configs");
   for (const auto& r : rows) {
     w.beginObject();
@@ -235,9 +270,8 @@ void runPipelineSweep() {
     w.field("actual_workers", r.stats.workers);
     w.field("oversubscribed", hc != 0 && r.stats.requested_workers > hc);
     w.field("batch", r.batch);
-    w.field("packets", r.stats.packets);
-    w.field("seconds", r.stats.seconds);
-    w.field("pps", r.stats.packetsPerSec());
+    bench::writeSpread(w, "pps", r.pps);
+    bench::writeSpread(w, "over_sequential", r.over_sequential);
     w.field("accesses_per_packet", r.stats.accessesPerPacket());
     w.field("shard_imbalance", r.stats.shardImbalance());
     w.field("steady_allocs", r.stats.steady_allocs);
@@ -245,65 +279,52 @@ void runPipelineSweep() {
     w.endObject();
   }
   w.endArray();
-  w.field("speedup_4w_b32_vs_1w_b1", speedup);
   w.endDocument();
   std::printf("wrote BENCH_throughput.json\n");
 
-  // Observed re-runs (deliberately *outside* the timed sweep above, so the
-  // perf trajectory in BENCH_throughput.json stays a measurement of the bare
-  // data plane), both best-of-`reps` like the sweep rows:
-  //   (a) sampling only — tracers armed at 1-in-64, no registry. Against the
-  //       sweep's 4w/b32 row this isolates the trace-sampling overhead.
+  // Observed re-runs (deliberately *outside* the sweep above, so the perf
+  // trajectory in BENCH_throughput.json stays a measurement of the bare
+  // data plane), windowed and interleaved like the sweep:
+  //   (a) sampling only — tracers armed at 1-in-64, no registry, against
+  //       the sweep's unobserved 4w/b32 pipeline window for window. This
+  //       isolates the trace-sampling overhead.
   //   (b) full telemetry — registry + tracers; this run emits the Prometheus
   //       snapshot and chrome://tracing file shipped as bench artifacts.
   {
-    pipeline::PipelineOptions opt;
-    opt.workers = 4;
-    opt.batch_size = 32;
-    opt.ring_batches = 32;
-    opt.method = lookup::Method::kPatricia;
-    opt.mode = lookup::ClueMode::kAdvance;
-    opt.learn = false;
-    opt.expected_clues = wb.sender.size() + 16;
+    pipeline::Pipeline4& base = *rows.back().pipe;  // 4w/b32
+    pipeline::PipelineOptions opt = pipelineOptions(wb, 4, 32);
     opt.trace.enabled = true;
     opt.trace.sample_every = 64;
+    pipeline::Pipeline4 sampled(*wb.suite, &wb.t1, opt);
+    sampled.precompute(clue_universe);
+    obs::MetricRegistry registry;
+    opt.registry = &registry;
+    pipeline::Pipeline4 observed(*wb.suite, &wb.t1, opt);
+    observed.precompute(clue_universe);
 
-    double sampled_pps = 0.0;
+    Summary sampled_ratio, observed_pps;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      pipeline::Pipeline4 pipe(*wb.suite, &wb.t1, opt);
-      pipe.precompute(clue_universe);
-      std::vector<NextHop> got(inputs.size(), kNoNextHop);
-      const auto stats = pipe.run(inputs, got);
-      sampled_pps = std::max(sampled_pps, stats.packetsPerSec());
+      const double b = bench::windowRate(n, [&] { base.run(inputs, got); });
+      const double t = bench::windowRate(n, [&] { sampled.run(inputs, got); });
+      sampled_ratio.add(t / b);
+      observed_pps.add(
+          bench::windowRate(n, [&] { observed.run(inputs, got); }));
     }
-    const double base_pps = pps(4, 32);
-    std::printf("trace sampling 1-in-64 (4w/b32): %.2f Mpps (%+.1f%% vs "
-                "unobserved)\n",
-                sampled_pps / 1e6,
-                base_pps > 0 ? (sampled_pps / base_pps - 1.0) * 100.0 : 0.0);
-
-    double observed_pps = 0.0;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      obs::MetricRegistry registry;
-      opt.registry = &registry;
-      pipeline::Pipeline4 pipe(*wb.suite, &wb.t1, opt);
-      pipe.precompute(clue_universe);
-      std::vector<NextHop> got(inputs.size(), kNoNextHop);
-      const auto stats = pipe.run(inputs, got);
-      observed_pps = std::max(observed_pps, stats.packetsPerSec());
-      if (rep + 1 == reps) {
-        obs::writeFile("BENCH_throughput_metrics.prom",
-                       obs::toPrometheus(registry.snapshot()));
-        obs::writeFile(
-            "BENCH_throughput_trace.json",
-            obs::toChromeTrace(pipe.traceEvents(), pipe.traceSpans(),
-                               "bench_throughput 4w/b32"));
-      }
-    }
+    std::printf("trace sampling 1-in-64 (4w/b32): %+.1f%% vs unobserved "
+                "(median of %zu window pairs, range %+.1f%% to %+.1f%%)\n",
+                (sampled_ratio.percentile(50) - 1.0) * 100.0, reps,
+                (sampled_ratio.min() - 1.0) * 100.0,
+                (sampled_ratio.max() - 1.0) * 100.0);
+    obs::writeFile("BENCH_throughput_metrics.prom",
+                   obs::toPrometheus(registry.snapshot()));
+    obs::writeFile("BENCH_throughput_trace.json",
+                   obs::toChromeTrace(observed.traceEvents(),
+                                      observed.traceSpans(),
+                                      "bench_throughput 4w/b32"));
     std::printf(
-        "full telemetry (metrics + tracing): %.2f Mpps -> "
+        "full telemetry (metrics + tracing): %.2f Mpps median -> "
         "BENCH_throughput_metrics.prom, BENCH_throughput_trace.json\n",
-        observed_pps / 1e6);
+        observed_pps.percentile(50) / 1e6);
   }
 }
 
@@ -312,60 +333,40 @@ void runPipelineSweep() {
 // ---------------------------------------------------------------------------
 //
 // A fixed, deterministic workload (100k packets over the §6 destination
-// sample) through the *threaded* sharded pipeline at 2 workers / batch 32.
-// The hardware clamp and the serial-inline fold are disabled so the shape —
-// and therefore the accesses-per-packet and shard-imbalance series — is
-// identical on every host, 1-core CI boxes included. Untraced and
-// unobserved: the steady-state window must be allocation-free, and tracing
-// deliberately allocates (Summary::add).
+// sample) through the sharded pipeline at 2 workers / batch 32. The
+// hardware clamp is disabled so the shape — and therefore the
+// accesses-per-packet and shard-imbalance series — is identical on every
+// host, 1-core CI boxes included. Untraced and unobserved: the steady-state
+// window must be allocation-free, and tracing deliberately allocates
+// (Summary::add).
 //
 // Two checks fail the run directly (no baseline needed): the sharded output
 // diverging from the sequential oracle, and any heap allocation inside the
 // steady-state window while the counting hook is active. The emitted
 // BENCH_throughput_smoke.prom additionally lets tools/ci.sh gate
 // accesses/packet and shard imbalance against the committed
-// bench/BENCH_throughput_smoke_baseline.prom via metrics_diff.py.
+// bench/BENCH_throughput_smoke_baseline.prom via metrics_diff.py, and
+// floor throughput_smoke_pps_over_sequential: the median, over kSmokeReps
+// interleaved window pairs, of the pipeline's rate over the sequential
+// process() loop's in the same run — a ratio, so host speed cancels.
 int runSmoke() {
   Workbench& wb = workbench();
   constexpr std::size_t kPackets = 100'000;
+  constexpr std::size_t kSmokeReps = 5;
   const auto clue_universe = wb.sender.prefixes();
-  std::vector<pipeline::Pipeline4::Input> inputs;
-  inputs.reserve(kPackets);
-  for (std::size_t i = 0; i < kPackets; ++i) {
-    const std::size_t j = i % wb.dests.size();
-    inputs.push_back({wb.dests[j], wb.clues[j]});
-  }
+  const auto inputs = cycledInputs(wb, kPackets);
 
-  // Sequential oracle — untimed; the smoke gates determinism, not speed.
-  typename core::CluePort<A>::Options popt;
-  popt.method = lookup::Method::kPatricia;
-  popt.mode = lookup::ClueMode::kAdvance;
-  popt.learn = false;
-  popt.expected_clues = wb.sender.size() + 16;
-  core::CluePort<A> ref_port(*wb.suite, &wb.t1, popt);
-  ref_port.precompute(clue_universe);
+  SequentialRef ref(wb);
   std::vector<NextHop> expect(inputs.size(), kNoNextHop);
-  mem::AccessCounter ref_acc;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto r = ref_port.process(inputs[i].dest, inputs[i].clue, ref_acc);
-    expect[i] = r.match ? r.match->next_hop : kNoNextHop;
-  }
+  ref.run(inputs, expect);
 
-  pipeline::PipelineOptions opt;
-  opt.workers = 2;
-  opt.batch_size = 32;
-  opt.ring_batches = 32;
+  pipeline::PipelineOptions opt = pipelineOptions(wb, 2, 32);
   opt.clamp_to_hardware = false;  // host-independent shape, see above
-  opt.inline_serial = false;
-  opt.method = lookup::Method::kPatricia;
-  opt.mode = lookup::ClueMode::kAdvance;
-  opt.learn = false;
-  opt.expected_clues = wb.sender.size() + 16;
   pipeline::Pipeline4 pipe(*wb.suite, &wb.t1, opt);
   pipe.precompute(clue_universe);
 
-  // Two runs through one pipeline: the second also covers ring reopen and
-  // counter reset on reuse, and is the one the gate reads.
+  // Two runs through one pipeline: the second also covers counter reset on
+  // reuse, and is the one the gate reads.
   std::vector<NextHop> got(inputs.size(), kNoNextHop);
   pipeline::PipelineStats stats;
   bool matches = true;
@@ -374,6 +375,17 @@ int runSmoke() {
     stats = pipe.run(inputs, got);
     matches = matches && got == expect;
   }
+
+  Summary over_sequential;
+  std::vector<NextHop> scratch(inputs.size(), kNoNextHop);
+  for (std::size_t rep = 0; rep < kSmokeReps; ++rep) {
+    const double seq =
+        bench::windowRate(kPackets, [&] { ref.run(inputs, scratch); });
+    const double pps =
+        bench::windowRate(kPackets, [&] { pipe.run(inputs, got); });
+    over_sequential.add(pps / seq);
+  }
+  matches = matches && got == expect;
 
   {
     std::ofstream prom("BENCH_throughput_smoke.prom");
@@ -388,15 +400,19 @@ int runSmoke() {
     prom << "throughput_smoke_alloc_hook_active "
          << (stats.alloc_hook_active ? 1 : 0) << "\n";
     prom << "throughput_smoke_matches_baseline " << (matches ? 1 : 0) << "\n";
+    prom << "throughput_smoke_pps_over_sequential "
+         << over_sequential.percentile(50) << "\n";
   }
   std::printf(
       "throughput smoke: %llu packets, %.4f acc/pkt, shard imbalance %.3f, "
-      "steady allocs %llu (hook %s), matches_baseline=%d -> "
-      "BENCH_throughput_smoke.prom\n",
+      "steady allocs %llu (hook %s), matches_baseline=%d, "
+      "%.2fx sequential [%.2f-%.2f] -> BENCH_throughput_smoke.prom\n",
       static_cast<unsigned long long>(stats.packets),
       stats.accessesPerPacket(), stats.shardImbalance(),
       static_cast<unsigned long long>(stats.steady_allocs),
-      stats.alloc_hook_active ? "active" : "inactive", matches ? 1 : 0);
+      stats.alloc_hook_active ? "active" : "inactive", matches ? 1 : 0,
+      over_sequential.percentile(50), over_sequential.min(),
+      over_sequential.max());
   if (!matches) {
     std::fprintf(stderr,
                  "bench_throughput: FAIL: sharded output diverged from the "

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/stats.h"
 #include "core/distributed_lookup.h"
 #include "rib/snapshot.h"
 
@@ -311,6 +313,37 @@ inline double benchScale() {
     if (v > 0.0 && v <= 1.0) return v;
   }
   return 1.0;
+}
+
+// Wall-clock rates are measured over windows of back-to-back passes lasting
+// at least kMinWindowSeconds, repeated and interleaved with whatever they
+// are compared against, so host noise shows up as spread (median, min, max
+// over the repetitions) instead of deciding one short run.
+inline constexpr double kMinWindowSeconds = 0.2;
+
+// Items per second of `pass` (each call handles `items_per_pass` items),
+// over calls repeated until at least kMinWindowSeconds of wall time elapsed.
+template <typename Fn>
+double windowRate(std::size_t items_per_pass, Fn&& pass) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::size_t passes = 0;
+  double seconds = 0.0;
+  do {
+    pass();
+    ++passes;
+    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count();
+  } while (seconds < kMinWindowSeconds);
+  return static_cast<double>(passes * items_per_pass) / seconds;
+}
+
+// `name` (the median), `name`_min and `name`_max of a repeated measurement.
+inline void writeSpread(JsonWriter& w, const std::string& name,
+                        const Summary& s) {
+  w.field(name, s.percentile(50));
+  w.field(name + "_min", s.min());
+  w.field(name + "_max", s.max());
 }
 
 inline std::size_t benchDestinations() {

@@ -3,10 +3,11 @@
 //
 // Router R1 forwards a stream of packets toward router R2, attaching its
 // clue to each (the Network's send path policy). Instead of processing the
-// stream one packet at a time, R2 feeds it through a Pipeline: batches of 32
-// packets fan out over worker shards, each shard owning its own clue table
-// and access counters, with software prefetch interleaved across every batch
-// before any packet is resolved. The forwarding decisions are identical to
+// stream one packet at a time, R2 feeds it through a Pipeline: the packets
+// are split by flow over worker shards, each shard owning its own clue table
+// and access counters and resolving its packets in batches of 32, with
+// software prefetch interleaved across every batch before any packet is
+// resolved. The forwarding decisions are identical to
 // the sequential path — only the execution model changes.
 //
 // Build & run:

@@ -84,10 +84,15 @@ ChurnObs ChurnObs::bind(MetricRegistry& reg, std::size_t shard,
   o.live_seq = &reg.gauge("rib_version_live_seq",
                           "Sequence number of the currently live table version",
                           extra);
-  o.apply_ns = &reg.histogram(
-      "rib_version_apply_ns",
-      "Nanoseconds building the next version (delta apply or full rebuild)",
-      extra);
+  const auto apply = [&](const char* side) {
+    return &reg.histogram(
+        "rib_version_apply_ns",
+        "Nanoseconds building the next version (delta apply or full "
+        "rebuild), by the side of the delta",
+        withExtra({{"side", side}}, extra));
+  };
+  o.apply_local_ns = apply("local");
+  o.apply_neighbor_ns = apply("neighbor");
   o.grace_ns = &reg.histogram(
       "rib_version_grace_ns",
       "Nanoseconds waiting for readers to drain the retired version", extra);

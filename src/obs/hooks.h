@@ -73,7 +73,12 @@ struct ChurnObs {
   CounterCell* full_rebuilds = nullptr;  // publishes past the churn threshold
   CounterCell* retired_validated = nullptr;  // check::validate runs (debug)
   Gauge* live_seq = nullptr;             // sequence number of the live version
-  Histogram* apply_ns = nullptr;         // delta apply + build, per publish
+  // Delta apply + build, per publish, one series per side: local
+  // (receiver-table) publishes rebuild the suite and take milliseconds,
+  // neighbor (sender-table) publishes only touch clue entries and take a
+  // fraction of that — one shared histogram put its p50 on the seam.
+  Histogram* apply_local_ns = nullptr;     // rib_version_apply_ns{side="local"}
+  Histogram* apply_neighbor_ns = nullptr;  // ...{side="neighbor"}
   Histogram* grace_ns = nullptr;         // grace-period wait, per publish
   std::size_t shard = 0;
 

@@ -1,29 +1,30 @@
 // The batched multi-worker forwarding pipeline.
 //
-// Topology: one feeder (the calling thread) fans PacketBatches out over N
-// worker shards through fixed-capacity SPSC rings; workers run to
-// completion (lookup resolved on the shard that popped the batch — no
-// further hand-off) and publish next hops into the caller's output array.
-// When a ring is full the feeder spins-then-yields until the shard drains —
-// bounded backpressure, so memory use is capped at N * ring_capacity
-// batches no matter how fast the source is.
+// Topology: N run-to-completion shards and no hand-off between them.
+// run() spawns N - 1 threads and the calling thread acts as shard 0; every
+// shard scans the whole input span, keeps the packets whose flow hashes to
+// it (a branch-free filter into its own PacketBatch), resolves each full
+// batch in place and then its partial tail, and writes next hops into the
+// caller's output array. No thread waits on another until the join.
 //
-// Dispatch is RSS-style flow-hash sharding: shard = hash(dest) mapped onto
-// [0, N), so every packet of a flow lands on the same worker. That keeps
-// each shard's working set core-private — its §3.5 ClueCache entries and
-// hot clue-table lines are never bounced between cores by packets of the
-// same flow landing elsewhere, which is what round-robin dispatch did. The
-// feeder keeps one open (claimed but unpublished) batch per shard and
-// publishes it when full; partial tails are flushed before the rings close.
+// Sharding is RSS-style: shard = flowShard(dest, N) (worker.h), so every
+// packet of a flow lands on the same worker. That keeps each shard's
+// working set core-private — its §3.5 ClueCache entries and hot clue-table
+// lines are never bounced between cores by packets of the same flow landing
+// elsewhere. The price is that every shard reads every input descriptor
+// and hashes its destination — N reads of the input instead of one, which
+// costs less than handing packets between cores (DESIGN.md §4 has the
+// ledger).
 //
-// Every shard owns its CluePort / AccessCounter / Rng (see worker.h), which
-// makes the data plane share-nothing; run() merges the per-worker counters
-// and port stats into one PipelineStats via AccessCounter::mergeFrom once
-// the workers have joined. With learning off and the §3.5 cache off,
-// per-packet accounting is deterministic, so the merged totals equal a
-// single-threaded run over the same stream — pipeline_test asserts exactly
-// that, and the equality is what lets all the paper's §6 access-count
-// results carry over unchanged to the parallel data plane.
+// Every shard owns its CluePort / AccessCounter / PacketBatch (see
+// worker.h), which makes the data plane share-nothing; run() merges the
+// per-worker counters and port stats into one PipelineStats via
+// AccessCounter::mergeFrom once the workers have joined. With learning off
+// and the §3.5 cache off, per-packet accounting is deterministic, so the
+// merged totals equal a single-threaded run over the same stream —
+// pipeline_test asserts exactly that, and the equality is what lets all the
+// paper's §6 access-count results carry over unchanged to the parallel data
+// plane.
 #pragma once
 
 #include <algorithm>
@@ -47,14 +48,12 @@ namespace cluert::pipeline {
 struct PipelineOptions {
   std::size_t workers = 4;
   std::size_t batch_size = kDefaultBatch;  // clamped to [1, kMaxBatch]
-  // Per-worker ring capacity in batches; the backpressure bound.
+  // Ignored: the shards take their packets straight from the input span,
+  // so there is no ring to size. Kept only while the benchmark program
+  // (perfbench/src/fwd.cc) still sets it; see ROADMAP.
   std::size_t ring_batches = 64;
-  // Base seed split per worker via Rng::forThread.
+  // Base seed of the per-worker trace sampling phase (Rng::forThread).
   std::uint64_t seed = 1;
-  // Deepest tier of the idle/full backoff escalation (spin -> yield ->
-  // sleep). Relevant when threads outnumber cores: shorter sleeps react
-  // faster, longer sleeps give the running thread longer bursts.
-  std::uint32_t backoff_sleep_us = 50;
   // Clamp `workers` to std::thread::hardware_concurrency(). Oversubscribing
   // cores never helps a run-to-completion data plane (the threads just trade
   // timeslices; BENCH_throughput's 8w rows were *slower* than 4w on a 4-core
@@ -63,13 +62,6 @@ struct PipelineOptions {
   // Tests that deliberately oversubscribe to widen sanitizer interleavings
   // opt out.
   bool clamp_to_hardware = true;
-  // When the pipeline degenerates to a single worker (after clamping, or by
-  // request), resolve batches inline on the calling thread instead of
-  // ping-ponging one core between a feeder and one worker thread through a
-  // ring. Identical results and stats; DPDK calls this run-to-completion on
-  // one lcore. Tests that specifically exercise the threaded 1-worker path
-  // opt out.
-  bool inline_serial = true;
 
   // CluePort configuration, replicated per shard.
   lookup::Method method = lookup::Method::kPatricia;
@@ -120,7 +112,7 @@ struct PipelineStats {
   std::uint64_t searched = 0;
   std::uint64_t search_failed = 0;
 
-  // Per-shard packet counts — min/max/mean expose feeder imbalance.
+  // Per-shard packet counts — min/max/mean expose shard imbalance.
   Summary worker_packets;
 
   // max/mean of the per-shard packet counts: 1.0 is a perfectly balanced
@@ -133,10 +125,10 @@ struct PipelineStats {
     return m > 0 ? worker_packets.max() / m : 0.0;
   }
 
-  // Heap allocations inside the steady-state window (feeder loop after the
-  // workers spawned + each shard's loop after its warm-up batch). The hot
-  // path's contract is ZERO; `alloc_hook_active` false means the counting
-  // hook was compiled out (sanitizer build) and the zero is vacuous.
+  // Heap allocations inside the steady-state window (each shard's loop
+  // after its warm-up batch). The hot path's contract is ZERO;
+  // `alloc_hook_active` false means the counting hook was compiled out
+  // (sanitizer build) and the zero is vacuous.
   std::uint64_t steady_allocs = 0;
   bool alloc_hook_active = false;
 
@@ -186,15 +178,12 @@ class Pipeline {
       popt.expected_clues = options_.expected_clues;
       popt.cache_entries = options_.cache_entries;
       workers_.push_back(arena_.template create<WorkerT>(
-          w, options_.seed, options_.ring_batches,
-          std::make_unique<PortT>(suite, neighbor_trie, popt),
-          options_.backoff_sleep_us));
+          w, std::make_unique<PortT>(suite, neighbor_trie, popt)));
       if (options_.registry != nullptr || options_.trace.enabled) {
         workers_.back()->enableObs(options_.registry, options_.trace,
                                    options_.seed);
       }
     }
-    open_.assign(workers_.size(), nullptr);
     announce();
   }
 
@@ -217,16 +206,14 @@ class Pipeline {
       popt.neighbor_index = options_.neighbor_index;
       popt.expected_clues = options_.expected_clues;
       popt.cache_entries = options_.cache_entries;
-      workers_.push_back(arena_.template create<WorkerT>(
-          w, options_.seed, options_.ring_batches,
-          std::make_unique<PortT>(popt), options_.backoff_sleep_us));
+      workers_.push_back(
+          arena_.template create<WorkerT>(w, std::make_unique<PortT>(popt)));
       workers_.back()->bindVersions(&versions);
       if (options_.registry != nullptr || options_.trace.enabled) {
         workers_.back()->enableObs(options_.registry, options_.trace,
                                    options_.seed);
       }
     }
-    open_.assign(workers_.size(), nullptr);
     announce();
   }
 
@@ -241,7 +228,7 @@ class Pipeline {
 
   // Drives the whole input stream through the pipeline; out[i] receives the
   // next hop chosen for in[i] (kNoNextHop: no route). Blocking: spawns the
-  // worker threads, feeds, closes the rings, joins, aggregates.
+  // worker threads, runs shard 0 on the calling thread, joins, aggregates.
   PipelineStats run(std::span<const Input> in, std::span<NextHop> out) {
     return run(in, out, {});
   }
@@ -260,25 +247,26 @@ class Pipeline {
                  std::size_t{std::numeric_limits<std::uint32_t>::max()})
         << in.size() << " packets overflow the 32-bit batch seq";
     const auto t0 = std::chrono::steady_clock::now();
-    // The pipeline is reusable: reopen the rings the previous run() closed
-    // and zero the per-run counters, both while every shard is quiescent
-    // (workers joined last run; none spawned yet). Stats therefore describe
-    // THIS run, and a mid-stream worker can never mistake the previous
-    // run's close() for its own end-of-stream — that race silently dropped
-    // whole batches on reused pipelines.
-    for (auto* w : workers_) {
-      w->ring().reopen();
-      w->resetRunCounters();
-    }
-    std::uint64_t feeder_steady = 0;
-    if (workers_.size() == 1 && options_.inline_serial) {
-      feeder_steady = runInline(in, out, version_out);
-    } else {
-      feeder_steady = runThreaded(in, out, version_out);
+    // The pipeline is reusable: zero the per-run counters while every shard
+    // is quiescent (joined last run; none started yet), so stats describe
+    // THIS run.
+    for (auto* w : workers_) w->resetRunCounters();
+    const std::size_t shards = workers_.size();
+    const std::size_t batch = options_.batch_size;
+    {
+      // jthreads: joined at the end of this scope, on every path out.
+      std::vector<std::jthread> threads;
+      threads.reserve(shards - 1);
+      for (std::size_t id = 1; id < shards; ++id) {
+        WorkerT* w = workers_[id];
+        threads.emplace_back([=] {
+          w->runShard(in, shards, batch, out, version_out);
+        });
+      }
+      workers_[0]->runShard(in, shards, batch, out, version_out);
     }
     const auto t1 = std::chrono::steady_clock::now();
     PipelineStats s = aggregate(std::chrono::duration<double>(t1 - t0).count());
-    s.steady_allocs += feeder_steady;
     // Region totals are merged per run (the workers' counters are quiescent
     // now); the per-packet families were already fed live by the shards.
     if (options_.registry != nullptr) {
@@ -323,7 +311,6 @@ class Pipeline {
     if (o.workers == 0) o.workers = 1;
     if (o.batch_size == 0) o.batch_size = 1;
     if (o.batch_size > kMaxBatch) o.batch_size = kMaxBatch;
-    if (o.ring_batches < 2) o.ring_batches = 2;
     if (o.clamp_to_hardware) {
       const auto hc =
           static_cast<std::size_t>(std::thread::hardware_concurrency());
@@ -355,116 +342,6 @@ class Pipeline {
         ->gauge("pipeline_workers_clamped",
                 "Requested-minus-actual workers after the hardware clamp")
         .set(static_cast<double>(requested_workers_ - options_.workers));
-  }
-
-  // RSS-style dispatch: every packet of a flow (destination) maps to the
-  // same shard. The multiply-shift maps the low 32 hash bits onto [0, n)
-  // without a divide (Lemire's fastrange).
-  static std::size_t flowShard(const A& dest, std::size_t n) {
-    const auto h = static_cast<std::uint64_t>(std::hash<A>{}(dest));
-    return static_cast<std::size_t>(
-        ((h & 0xffffffffu) * static_cast<std::uint64_t>(n)) >> 32);
-  }
-
-  // The threaded fan-out. Returns the feeder's steady-window allocation
-  // count (snapshot taken after the worker threads spawned, so thread
-  // bring-up is warm-up; the feed loop itself must not allocate).
-  std::uint64_t runThreaded(std::span<const Input> in, std::span<NextHop> out,
-                            std::span<std::uint64_t> version_out) {
-    std::vector<std::thread> threads;
-    threads.reserve(workers_.size());
-    for (auto* w : workers_) {
-      threads.emplace_back([w, out, version_out] { w->run(out, version_out); });
-    }
-
-    const std::uint64_t alloc_base = mem::threadAllocs();
-    // Feed: flow-hash the destination to its shard, append to the shard's
-    // open batch (claimed in the ring on first use — zero staging copy),
-    // publish when full. A full ring means the shard is the bottleneck;
-    // back off with escalation.
-    Rng feeder_rng = Rng::forThread(options_.seed, ~std::uint64_t{0});
-    const std::size_t n_shards = workers_.size();
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const std::size_t shard = flowShard(in[i].dest, n_shards);
-      PacketBatch<A>* batch = open_[shard];
-      if (batch == nullptr) {
-        auto& ring = workers_[shard]->ring();
-        batch = ring.claim();
-        for (std::uint64_t streak = 1; batch == nullptr; ++streak) {
-          feederBackoff(feeder_rng, streak, options_.backoff_sleep_us);
-          batch = ring.claim();
-        }
-        batch->clear();
-        open_[shard] = batch;
-      }
-      batch->push(in[i].dest, in[i].clue, static_cast<std::uint32_t>(i));
-      if (batch->size() == options_.batch_size) {
-        workers_[shard]->ring().publish();
-        open_[shard] = nullptr;
-      }
-    }
-    // Tail flush: under flow-hash dispatch every shard can be left holding
-    // a partial batch (the stream length is never a multiple of
-    // workers x batch for all shards at once). Publish them before the
-    // close(), or those packets would be silently dropped.
-    for (std::size_t shard = 0; shard < n_shards; ++shard) {
-      if (open_[shard] == nullptr) continue;
-      workers_[shard]->ring().publish();
-      open_[shard] = nullptr;
-    }
-    for (auto* w : workers_) w->ring().close();
-    const std::uint64_t feeder_steady = mem::threadAllocs() - alloc_base;
-    for (auto& t : threads) t.join();
-    return feeder_steady;
-  }
-
-  // The serial-inline path: one worker, resolved on the calling thread.
-  // Same shard machinery (version pinning, stats, obs) — minus the ring
-  // hand-off and the feeder/worker context-switch ping-pong that made a
-  // 1-worker pipeline ~35% slower than the sequential loop on one core.
-  // Returns the steady-window allocation count (first batch = warm-up).
-  std::uint64_t runInline(std::span<const Input> in, std::span<NextHop> out,
-                          std::span<std::uint64_t> version_out) {
-    WorkerT& w = *workers_[0];
-    std::uint64_t alloc_base = 0;
-    bool warmed = false;
-    for (std::size_t i = 0; i < in.size();) {
-      scratch_batch_.clear();
-      const std::size_t end = std::min(i + options_.batch_size, in.size());
-      for (; i < end; ++i) {
-        scratch_batch_.push(in[i].dest, in[i].clue,
-                            static_cast<std::uint32_t>(i));
-      }
-      w.resolveBatch(scratch_batch_, out, version_out);
-      if (!warmed) {
-        warmed = true;
-        alloc_base = mem::threadAllocs();
-      }
-    }
-    return warmed ? mem::threadAllocs() - alloc_base : 0;
-  }
-
-  // Full-ring wait, escalating exactly like Worker::idleBackoff: jittered
-  // spin, then yield, then sleep. The sleep tier is what keeps an
-  // oversubscribed (workers >= cores) run efficient — a sleeping feeder
-  // gives each worker a full timeslice to drain its ring instead of
-  // trading the core back every few batches.
-  static void feederBackoff(Rng& rng, std::uint64_t streak,
-                            std::uint32_t sleep_us) {
-    if (streak < 4) {
-      const std::uint64_t spins = 32 + rng.uniform(0, 32);
-      for (std::uint64_t s = 0; s < spins; ++s) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-      }
-      return;
-    }
-    if (streak < 16 || sleep_us == 0) {
-      std::this_thread::yield();
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
   }
 
   PipelineStats aggregate(double seconds) const {
@@ -500,11 +377,6 @@ class Pipeline {
   // pointers.
   mem::Arena arena_;
   std::vector<WorkerT*> workers_;
-  // Per-shard open (claimed, unpublished) batch of the in-flight feed loop;
-  // sized once at construction so run() never allocates it.
-  std::vector<PacketBatch<A>*> open_;
-  // Batch the serial-inline path fills on the calling thread.
-  PacketBatch<A> scratch_batch_;
 };
 
 using Pipeline4 = Pipeline<ip::Ip4Addr>;

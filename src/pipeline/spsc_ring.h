@@ -1,5 +1,7 @@
-// Fixed-capacity single-producer / single-consumer ring queue — the link
-// between the pipeline's feeder thread and each worker shard.
+// Fixed-capacity single-producer / single-consumer ring queue. It has no
+// production user (the pipeline's shards take packets straight from the
+// input span); it stays as the model checker's subject — src/mc/harnesses.h
+// and mc_mutant_test — until a replacement subject lands (ROADMAP).
 //
 // Classic Lamport ring with the two standard refinements:
 //  * acquire/release atomics only (no CAS, no locks — wait-free on both
@@ -9,10 +11,11 @@
 //    shared cache line instead of two (the "batched index read" optimisation
 //    from rigtorp/folly-style queues).
 //
-// The producer additionally gets a `close()` bit for end-of-stream: workers
-// drain remaining items after observing it. Capacity is rounded up to a
-// power of two; one slot is never sacrificed (full/empty are distinguished
-// by index difference, indices increase monotonically and wrap via mask).
+// The producer additionally gets a `close()` bit for end-of-stream: the
+// consumer drains remaining items after observing it. Capacity is rounded
+// up to a power of two; one slot is never sacrificed (full/empty are
+// distinguished by index difference, indices increase monotonically and
+// wrap via mask).
 //
 // The `Policy` parameter (common/sync_policy.h) routes every atomic through
 // `Policy::template Atomic<T>`: production uses StdSyncPolicy (plain

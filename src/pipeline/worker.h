@@ -1,49 +1,51 @@
-// One pipeline worker shard: a run-to-completion forwarding loop.
+// One pipeline worker shard: a run-to-completion forwarding loop over its
+// own flow shard of the input.
 //
-// Each worker owns the complete per-thread state a shard needs — its own
-// CluePort (clue table, learning, §3.5 cache), its own mem::AccessCounter
-// (merged after join, never shared), and its own Rng stream split off the
-// pipeline seed via Rng::forThread — so the data plane runs without a single
-// lock or shared mutable word between shards. The only cross-thread traffic
-// is the SPSC ring of PacketBatches in, and writes to disjoint `out[seq]`
-// slots (each sequence number is routed to exactly one worker).
+// Each worker owns the complete per-shard state — its own CluePort (clue
+// table, learning, §3.5 cache), its own mem::AccessCounter (merged after
+// join, never shared), its own PacketBatch and result scratch — so the data
+// plane runs without a single lock or shared mutable word between shards.
+// There is no hand-off either: every shard reads the caller's input span
+// directly, keeps the packets whose flowShard() is its own id, and writes
+// their next hops to disjoint `out[seq]` slots (each sequence number
+// belongs to exactly one shard).
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
-#include <thread>
 
-#include "common/random.h"
 #include "common/stats.h"
 #include "core/distributed_lookup.h"
 #include "mem/alloc_hook.h"
 #include "obs/hooks.h"
 #include "pipeline/packet_batch.h"
 #include "pipeline/pinned_resolver.h"
-#include "pipeline/spsc_ring.h"
 #include "rib/versioned_tables.h"
 
 namespace cluert::pipeline {
+
+// RSS-style flow sharding: every packet of a flow (destination) maps to the
+// same shard of [0, n). The multiply-shift maps the low 32 hash bits onto
+// [0, n) without a divide (Lemire's fastrange).
+template <typename A>
+std::size_t flowShard(const A& dest, std::size_t n) {
+  const auto h = static_cast<std::uint64_t>(std::hash<A>{}(dest));
+  return static_cast<std::size_t>(
+      ((h & 0xffffffffu) * static_cast<std::uint64_t>(n)) >> 32);
+}
 
 template <typename A>
 class Worker {
  public:
   using PortT = core::CluePort<A>;
 
-  Worker(std::size_t id, std::uint64_t pipeline_seed,
-         std::size_t ring_capacity_batches, std::unique_ptr<PortT> port,
-         std::uint32_t backoff_sleep_us = 50)
-      : id_(id),
-        rng_(Rng::forThread(pipeline_seed, id)),
-        ring_(ring_capacity_batches),
-        resolver_(std::move(port), id),
-        backoff_sleep_us_(backoff_sleep_us) {}
+  Worker(std::size_t id, std::unique_ptr<PortT> port)
+      : id_(id), resolver_(std::move(port), id) {}
 
   std::size_t id() const { return id_; }
-  SpscRing<PacketBatch<A>>& ring() { return ring_; }
   PortT& port() { return resolver_.port(); }
   const PortT& port() const { return resolver_.port(); }
   const mem::AccessCounter& accesses() const { return acc_; }
@@ -86,7 +88,7 @@ class Worker {
   std::uint64_t versionChanges() const { return resolver_.versionChanges(); }
 
   // Zeroes the per-run counters so a reused shard reports this run only
-  // (Pipeline::run calls it before spawning the thread). The resolver's
+  // (Pipeline::run calls it before any shard starts). The resolver's
   // last-seen sequence is deliberately kept: a version swap that happened
   // *between* runs still counts as a change on the next run's first batch.
   void resetRunCounters() {
@@ -99,9 +101,9 @@ class Worker {
     port().resetStats();
   }
 
-  // Heap allocations this shard made after its warm-up batch (see run()).
-  // Valid after join; 0 when the alloc hook is compiled out or the shard
-  // processed at most one batch.
+  // Heap allocations this shard made after its warm-up batch (see
+  // runShard()). Valid after join; 0 when the alloc hook is compiled out or
+  // the shard processed at most one batch.
   std::uint64_t steadyAllocs() const { return steady_allocs_; }
 
   // Post-join access to the shard's trace rings (null when tracing is off).
@@ -113,17 +115,20 @@ class Worker {
   // reportable across shards.
   const Summary& batchNs() const { return batch_ns_; }
 
-  // The worker thread body: pop batches until the ring is closed *and*
-  // drained, resolve each through the batched CluePort path, and publish
-  // every packet's next hop to out[seq]. `out` is sized to the full input
-  // stream; distinct workers write distinct slots, and the pipeline's join()
-  // makes the writes visible to the caller.
+  // The shard body, run on its own thread (shard 0 on the caller's): scan
+  // the whole input, keep the packets of this shard's flows in the batch,
+  // resolve it whenever it holds `batch_size` packets, and once more for
+  // the partial tail — under flow sharding any shard can end mid-batch, and
+  // an unresolved tail is silently dropped traffic. `out` and `version_out`
+  // span the whole input; this shard writes only its own packets' slots.
   // `version_out`, when non-empty, receives the sequence number of the
   // version each packet was resolved against (0 for unversioned runs) —
   // the churn oracle compares out[seq] against a quiescent lookup at
   // version_out[seq].
-  void run(std::span<NextHop> out, std::span<std::uint64_t> version_out = {}) {
-    std::uint64_t idle_streak = 0;
+  template <typename In>
+  void runShard(std::span<const In> in, std::size_t shards,
+                std::size_t batch_size, std::span<NextHop> out,
+                std::span<std::uint64_t> version_out) {
     // Zero-allocation steady state: the first batch is warm-up (lazy
     // per-thread init, first-touch faults), everything after it must not
     // allocate. Snapshot the thread-local alloc counter after that batch
@@ -131,47 +136,41 @@ class Worker {
     // PipelineStats::steady_allocs, which the ci throughput gate pins at 0.
     bool warmed = false;
     std::uint64_t alloc_base = 0;
-    for (;;) {
-      // Zero-copy consume: resolve the batch in place in the ring slot, then
-      // hand the slot back. The producer cannot touch it before release().
-      PacketBatch<A>* batch = ring_.front();
-      if (batch == nullptr) {
-        if (ring_.closed()) {
-          batch = ring_.front();
-          if (batch == nullptr) break;  // closed and drained: done
-        } else {
-          idleBackoff(++idle_streak);
-          continue;
-        }
-      }
-      idle_streak = 0;
-      resolveBatch(*batch, out, version_out);
-      ring_.release();
+    // A lone shard owns every flow: the loop-invariant test lets the
+    // compiler drop the hash from the 1-worker scan, which then only copies.
+    const auto mine = [&](const A& dest) {
+      return shards == 1 || flowShard(dest, shards) == id_;
+    };
+    batch_.clear();
+    for (std::size_t i = 0; i < in.size();) {
+      i = batch_.fill(in, i, batch_size, mine);
+      if (batch_.size() < batch_size) break;  // input ended mid-batch
+      resolveBatch(out, version_out);
       if (!warmed) {
         warmed = true;
         alloc_base = mem::threadAllocs();
       }
     }
+    if (!batch_.empty()) resolveBatch(out, version_out);
     if (warmed) steady_allocs_ = mem::threadAllocs() - alloc_base;
   }
 
-  // Resolves one batch and publishes its next hops — the body of the worker
-  // loop, also called directly (on the feeder thread) by the pipeline's
-  // serial-inline path when the pipeline degenerates to one worker. Reads
+ private:
+  // Resolves the batch and publishes its next hops, then empties it. Reads
   // the batch's SoA spans in place: no per-packet gather copy.
-  void resolveBatch(PacketBatch<A>& batch, std::span<NextHop> out,
+  void resolveBatch(std::span<NextHop> out,
                     std::span<std::uint64_t> version_out) {
     // Batch spans cost two clock reads per *batch* — cheap enough to gate at
     // runtime rather than compile time (unlike the per-lookup events).
     const bool spans = tracer_ != nullptr && tracer_->enabled();
     const std::uint64_t span_t0 = spans ? obs::Tracer::nowNs() : 0;
-    const std::size_t n = batch.size();
-    const std::span<const std::uint32_t> seqs = batch.seqs();
+    const std::size_t n = batch_.size();
+    const std::span<const std::uint32_t> seqs = batch_.seqs();
     // Pin one version for the whole batch (PinnedResolver). The guard
     // spans the resolve and the out[] writes — its release is what lets
     // the updater's grace period complete.
     resolver_.resolve(
-        batch.dests(), batch.clues(), {results_.data(), n}, acc_,
+        batch_.dests(), batch_.clues(), {results_.data(), n}, acc_,
         [&](const rib::TableVersion<A>* version) {
           const std::uint64_t seq = version != nullptr ? version->seq : 0;
           for (std::size_t i = 0; i < n; ++i) {
@@ -180,6 +179,7 @@ class Worker {
             if (!version_out.empty()) version_out[seqs[i]] = seq;
           }
         });
+    batch_.clear();
     packets_ += n;
     ++batches_;
     if (spans) {
@@ -194,37 +194,8 @@ class Worker {
     }
   }
 
- private:
-  // Empty-ring wait, escalating with the idle streak: spin a short,
-  // per-worker-jittered burst (the jitter — drawn from this worker's own Rng
-  // stream — decorrelates shards so they don't hammer the producer's cache
-  // lines in lockstep), then yield, and once the ring has stayed empty for
-  // many attempts, sleep. The sleep matters on a host with fewer cores than
-  // threads: a yield-looping worker still burns whole timeslices, whereas a
-  // sleeping one lets the feeder fill every ring in one long burst instead
-  // of a few batches per context switch.
-  void idleBackoff(std::uint64_t streak) {
-    if (streak < 4) {
-      const std::uint64_t spins = 32 + rng_.uniform(0, 32);
-      for (std::uint64_t s = 0; s < spins; ++s) {
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#endif
-      }
-      return;
-    }
-    if (streak < 16 || backoff_sleep_us_ == 0) {
-      std::this_thread::yield();
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(backoff_sleep_us_));
-  }
-
   std::size_t id_;
-  Rng rng_;
-  SpscRing<PacketBatch<A>> ring_;
   PinnedResolver<A> resolver_;
-  std::uint32_t backoff_sleep_us_ = 50;
   mem::AccessCounter acc_;
   std::uint64_t packets_ = 0;
   std::uint64_t batches_ = 0;
@@ -232,8 +203,10 @@ class Worker {
   std::unique_ptr<obs::Tracer> tracer_;  // owned here: single-writer ring
   obs::WorkerObs wobs_;
   Summary batch_ns_;
-  // Per-batch resolve results; a member (not a stack array) so the shard's
-  // hot scratch lives inside its arena placement, cache-line aligned.
+  // The shard's batch and per-batch resolve results; members (not stack
+  // arrays) so the shard's hot scratch lives inside its arena placement,
+  // cache-line aligned.
+  PacketBatch<A> batch_;
   alignas(64) std::array<typename PortT::Result, kMaxBatch> results_;
 };
 

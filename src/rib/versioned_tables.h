@@ -173,7 +173,9 @@ class VersionedTables {
   // the new sequence number (unchanged when the delta is empty).
   std::uint64_t publishLocal(const FibDelta<A>& d) {
     if (d.empty()) return seq_;
-    return publishWith([&](TableVersion<A>& v) { return applyLocal(v, d); });
+    return publishWith(/*neighbor=*/false, [&](TableVersion<A>& v) {
+      return applyLocal(v, d);
+    });
   }
 
   // Sender-side counterpart: maintains the neighbor view and the §3.4
@@ -181,7 +183,9 @@ class VersionedTables {
   // clues get fresh entries).
   std::uint64_t publishNeighbor(const FibDelta<A>& d) {
     if (d.empty()) return seq_;
-    return publishWith([&](TableVersion<A>& v) { return applyNeighbor(v, d); });
+    return publishWith(/*neighbor=*/true, [&](TableVersion<A>& v) {
+      return applyNeighbor(v, d);
+    });
   }
 
   // Control-plane peek at the live version. Safe from the updater thread
@@ -193,9 +197,10 @@ class VersionedTables {
 
  private:
   // The one publication cycle every update goes through. `apply` mutates a
-  // buffer and reports whether it took the full-rebuild path.
+  // buffer and reports whether it took the full-rebuild path; `neighbor`
+  // names the side of the delta for the apply-time histogram.
   template <typename ApplyFn>
-  std::uint64_t publishWith(ApplyFn&& apply) {
+  std::uint64_t publishWith(bool neighbor, ApplyFn&& apply) {
     TableVersion<A>& next = buf_[shadow_];
     const std::uint64_t t0 = obs::Tracer::nowNs();
     const bool full = apply(next);
@@ -229,7 +234,9 @@ class VersionedTables {
       churn_obs_.swaps->inc();
       if (full) churn_obs_.full_rebuilds->inc();
       churn_obs_.live_seq->set(static_cast<double>(next.seq));
-      churn_obs_.apply_ns->shard(churn_obs_.shard).observe(t1 - t0);
+      (neighbor ? churn_obs_.apply_neighbor_ns : churn_obs_.apply_local_ns)
+          ->shard(churn_obs_.shard)
+          .observe(t1 - t0);
       churn_obs_.grace_ns->shard(churn_obs_.shard).observe(t2 - t1);
     }
     return next.seq;

@@ -1,13 +1,15 @@
-// Regression tests for the flow-hash sharded dispatch layer (src/pipeline/):
-// tail flush of partial per-shard batches, sharded-vs-sequential equivalence
-// across traffic shapes (uniform, Zipf-skewed, single-flow), equivalence
-// under rib::VersionedTables version swaps, the zero-allocation steady-state
-// contract, the hardware-concurrency clamp reporting, and the serial-inline
-// fold. Suites are named PipelineShard* so tools/run_sanitizers.sh's
-// "Pipeline" filter gives them TSan coverage automatically.
+// Regression tests for the flow-hash sharded data plane (src/pipeline/):
+// shard ownership against a brute-force flowShard partition, the partial
+// tail batch of every shard, sharded-vs-sequential equivalence across
+// traffic shapes (uniform, Zipf-skewed, single-flow) and worker counts,
+// equivalence under rib::VersionedTables version swaps, the zero-allocation
+// steady-state contract and the hardware-concurrency clamp reporting.
+// Suites are named PipelineShard* so tools/run_sanitizers.sh's "Pipeline"
+// filter gives them TSan coverage automatically.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -50,10 +52,9 @@ struct ShardFixture {
                       : core::ClueField::none()};
   }
 
-  // These tests exercise the *threaded* sharded data plane deliberately —
-  // real rings, real tail flush, real cross-thread hand-off — even on a
-  // small CI host where the hardware clamp would fold everything to one
-  // inline shard.
+  // These tests exercise the multi-shard data plane deliberately — real
+  // threads, real partial tails — even on a small CI host where the
+  // hardware clamp would cut the worker count.
   PipelineOptions threadedOptions(std::size_t workers,
                                   std::size_t batch) const {
     PipelineOptions opt;
@@ -64,7 +65,6 @@ struct ShardFixture {
     opt.learn = false;
     opt.expected_clues = sender.size() + 16;
     opt.clamp_to_hardware = false;
-    opt.inline_serial = false;
     return opt;
   }
 
@@ -133,12 +133,52 @@ void expectSameHops(const std::vector<NextHop>& got,
   EXPECT_EQ(mismatches, 0u);
 }
 
-// The tail-flush regression: under flow-hash dispatch every shard can be
-// left holding a partial open batch when the stream ends (997 is not a
-// multiple of anything in a 3-worker, batch-32 pipeline). Before the flush
-// existed those packets were silently dropped at close(). The second run
-// re-checks the same property through the ring reopen path on a reused
-// pipeline.
+// Shard ownership, one code path for every worker count: after a run,
+// shard w has resolved exactly the packets whose flowShard is w — counted
+// against a brute-force partition of the stream — in ceil(count / batch)
+// batches (full batches plus one partial tail), and the hops equal the
+// sequential ones. A filter that keeps a neighbour's packet, drops one of
+// its own, or skips its tail moves a count even when the hops still match.
+// The table-hit and access totals equal the 1-worker run's (shard 0 on the
+// calling thread, no thread spawned): the shard split moves work between
+// threads, never changes it.
+TEST(PipelineShardTest, EachShardResolvesExactlyItsFlowShard) {
+  ShardFixture fx;
+  Rng rng(66);
+  const auto inputs = fx.stream(rng, 997, 256, 0.0);
+  const auto expect = fx.sequential(inputs);
+  const auto clues = fx.sender.prefixes();
+  const std::size_t batches[] = {1, 7, 32};
+  PipelineStats one_worker[std::size(batches)];
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    std::vector<std::uint64_t> owned(workers, 0);
+    for (const auto& in : inputs) ++owned[flowShard(in.dest, workers)];
+    for (std::size_t b = 0; b < std::size(batches); ++b) {
+      const std::size_t batch = batches[b];
+      SCOPED_TRACE(testing::Message() << workers << "w/b" << batch);
+      Pipeline4 pipe(*fx.suite, &fx.t1, fx.threadedOptions(workers, batch));
+      pipe.precompute(clues);
+      std::vector<NextHop> got(inputs.size(), kNoNextHop);
+      const auto stats = pipe.run(inputs, got);
+      EXPECT_EQ(stats.packets, inputs.size());
+      for (std::size_t w = 0; w < workers; ++w) {
+        EXPECT_EQ(pipe.worker(w).packets(), owned[w]) << "shard " << w;
+        EXPECT_EQ(pipe.worker(w).batches(), (owned[w] + batch - 1) / batch)
+            << "shard " << w;
+      }
+      expectSameHops(got, expect);
+      if (workers == 1) one_worker[b] = stats;
+      EXPECT_EQ(stats.table_hits, one_worker[b].table_hits);
+      EXPECT_EQ(stats.accesses.total(), one_worker[b].accesses.total());
+    }
+  }
+}
+
+// The partial-tail regression: under flow sharding every shard can end the
+// stream holding a partial batch (997 is not a multiple of anything in a
+// 3-worker, batch-32 pipeline), and an unresolved tail is silently dropped
+// traffic. Each shard's tail must be resolved on every run of a reused
+// pipeline, so the per-shard counts of the second run equal the first's.
 TEST(PipelineShardTest, TailBatchesFlushedOnRunCompletion) {
   ShardFixture fx;
   Rng rng(11);
@@ -148,11 +188,21 @@ TEST(PipelineShardTest, TailBatchesFlushedOnRunCompletion) {
   Pipeline4 pipe(*fx.suite, &fx.t1, fx.threadedOptions(3, 32));
   const auto clues = fx.sender.prefixes();
   pipe.precompute(clues);
+  std::vector<std::uint64_t> first_run(3, 0);
   for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(testing::Message() << "run " << run);
     std::vector<NextHop> got(inputs.size(), kNoNextHop);
     const auto stats = pipe.run(inputs, got);
     // Every packet resolved — a dropped tail shows up here first.
-    EXPECT_EQ(stats.packets, inputs.size()) << "run " << run;
+    EXPECT_EQ(stats.packets, inputs.size());
+    std::size_t partial_tails = 0;
+    for (std::size_t w = 0; w < 3; ++w) {
+      const std::uint64_t n = pipe.worker(w).packets();
+      if (run == 0) first_run[w] = n;
+      EXPECT_EQ(n, first_run[w]) << "shard " << w;
+      partial_tails += n % 32 != 0;
+    }
+    EXPECT_GT(partial_tails, 0u) << "stream no longer leaves a partial tail";
     expectSameHops(got, expect);
   }
 }
@@ -227,7 +277,6 @@ TEST(PipelineShardTest, VersionSwapsKeepShardedRunsOracleExact) {
   popt.batch_size = 32;
   popt.mode = lookup::ClueMode::kSimple;
   popt.clamp_to_hardware = false;
-  popt.inline_serial = false;
   Pipeline4 pipe(vt, popt);
 
   rib::Fib4 cur = local;
@@ -262,8 +311,8 @@ TEST(PipelineShardTest, VersionSwapsKeepShardedRunsOracleExact) {
   }
 }
 
-// The zero-allocation contract on the real threaded sharded path: after
-// each shard's warm-up batch (and for the feeder, after thread spawn), the
+// The zero-allocation contract on the real multi-shard path: after each
+// shard's warm-up batch — the calling thread's shard 0 included — the
 // steady-state window performs no heap allocation. Run twice — the second
 // run has no first-touch warm-up left anywhere.
 TEST(PipelineShardTest, SteadyStateIsAllocationFree) {
@@ -301,7 +350,6 @@ TEST(PipelineShardTest, HardwareClampReportsRequestedAndActual) {
   obs::MetricRegistry registry;
   PipelineOptions opt = fx.threadedOptions(64, 16);
   opt.clamp_to_hardware = true;  // the behaviour under test
-  opt.inline_serial = true;      // defaults, as a bench caller would run
   opt.registry = &registry;
   Pipeline4 pipe(*fx.suite, &fx.t1, opt);
   const auto clues = fx.sender.prefixes();
@@ -320,36 +368,6 @@ TEST(PipelineShardTest, HardwareClampReportsRequestedAndActual) {
   const auto* workers = snap.find("pipeline_workers");
   ASSERT_NE(workers, nullptr);
   EXPECT_EQ(workers->gauge_value, static_cast<double>(hc));
-}
-
-// The serial-inline fold must be invisible in results and accounting: a
-// 1-worker pipeline resolved on the calling thread produces the same hops,
-// packet count and per-region access totals as the threaded 1-worker run.
-TEST(PipelineShardTest, InlineSerialFoldMatchesThreadedSingleWorker) {
-  ShardFixture fx;
-  Rng rng(55);
-  const auto inputs = fx.stream(rng, 10'000, 256, 0.0);
-  const auto clues = fx.sender.prefixes();
-
-  PipelineOptions threaded = fx.threadedOptions(1, 32);
-  PipelineOptions inline_opt = threaded;
-  inline_opt.inline_serial = true;
-
-  Pipeline4 tpipe(*fx.suite, &fx.t1, threaded);
-  tpipe.precompute(clues);
-  std::vector<NextHop> tgot(inputs.size(), kNoNextHop);
-  const auto tstats = tpipe.run(inputs, tgot);
-
-  Pipeline4 ipipe(*fx.suite, &fx.t1, inline_opt);
-  ipipe.precompute(clues);
-  std::vector<NextHop> igot(inputs.size(), kNoNextHop);
-  const auto istats = ipipe.run(inputs, igot);
-
-  expectSameHops(igot, tgot);
-  EXPECT_EQ(istats.packets, tstats.packets);
-  EXPECT_EQ(istats.batches, tstats.batches);
-  EXPECT_EQ(istats.table_hits, tstats.table_hits);
-  EXPECT_EQ(istats.accesses.total(), tstats.accesses.total());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the batched multi-worker forwarding pipeline (src/pipeline/):
-// ring correctness, shard-vs-sequential equivalence, counter aggregation,
-// the batch lookup API, and the supporting primitives (Rng::forThread,
-// AccessCounter::mergeFrom).
+// shard-vs-sequential equivalence, counter aggregation, the batch lookup
+// API, the supporting primitives (Rng::forThread, AccessCounter::mergeFrom)
+// and SpscRing correctness (the ring is the model checker's subject,
+// src/mc/; the pipeline itself no longer uses it).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include "lookup/factory.h"
 #include "net/network.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/spsc_ring.h"
 #include "test_util.h"
 
 namespace cluert {
@@ -238,11 +240,10 @@ struct PipelineFixture {
     opt.mode = lookup::ClueMode::kAdvance;
     opt.learn = false;
     opt.expected_clues = sender.size() + 16;
-    // These tests exercise the *threaded* data plane deliberately — real
-    // rings, real cross-thread hand-off — even on a small CI host where the
-    // hardware clamp would fold everything to one inline shard.
+    // These tests exercise the multi-shard data plane deliberately — real
+    // threads writing one shared output array — even on a small CI host
+    // where the hardware clamp would cut the worker count.
     opt.clamp_to_hardware = false;
-    opt.inline_serial = false;
     return opt;
   }
 
@@ -312,7 +313,6 @@ TEST(PipelineTest, OddWorkerAndBatchShapesStayEquivalent) {
     auto opt = fx.baseOptions();
     opt.workers = s.workers;
     opt.batch_size = s.batch;
-    opt.ring_batches = 8;  // small ring: exercise backpressure
     pipeline::Pipeline4 pipe(*fx.suite, &fx.t1, opt);
     pipe.precompute(clues);
     std::vector<NextHop> got(fx.inputs.size(), kNoNextHop);

@@ -3,6 +3,8 @@
 // arbitrarily corrupted clue headers.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/distributed_lookup.h"
 #include "test_util.h"
 
@@ -22,6 +24,15 @@ struct ConfigCase {
   std::size_t cache_entries;
   ClueMode mode;
 };
+
+// Names every field, so gtest (and the ctest IDs built from its output)
+// print the configuration instead of the struct's raw bytes — padding
+// included, which made the IDs depend on stack contents.
+void PrintTo(const ConfigCase& c, std::ostream* os) {
+  *os << "{indexed=" << (c.indexed ? "true" : "false")
+      << ", cache_entries=" << c.cache_entries
+      << ", mode=" << lookup::clueModeName(c.mode) << "}";
+}
 
 class ConfigGridTest : public ::testing::TestWithParam<ConfigCase> {};
 

@@ -313,6 +313,45 @@ TEST(VersionedTables, ChurnObsCountersPublish) {
       << prom;
 }
 
+// Local and neighbor publishes land in separate rib_version_apply_ns
+// series (side="local" / side="neighbor"): they differ by an order of
+// magnitude in cost, and one shared histogram put its p50 on the seam.
+// Golden on the exported family's HELP/TYPE lines and per-side counts.
+TEST(VersionedTables, ApplyNsSplitsLocalAndNeighborPublishes) {
+  obs::MetricRegistry registry;
+  VersionedTables4::Options opt;
+  opt.registry = &registry;
+  VersionedTables4 vt(smallLocal(), smallNeighbor(), opt);
+
+  FibDelta4 local;
+  local.rerouted.push_back(Entry{p4("20.0.0.0/8"), 6});
+  vt.publishLocal(local);
+  local.rerouted.back().next_hop = 7;
+  vt.publishLocal(local);
+  FibDelta4 neighbor;
+  neighbor.rerouted.push_back(Entry{p4("10.0.0.0/8"), 9});
+  vt.publishNeighbor(neighbor);
+
+  const std::string prom = obs::toPrometheus(registry.snapshot());
+  const std::string header =
+      "# HELP rib_version_apply_ns Nanoseconds building the next version "
+      "(delta apply or full rebuild), by the side of the delta\n"
+      "# TYPE rib_version_apply_ns histogram\n";
+  EXPECT_NE(prom.find(header), std::string::npos) << prom;
+  EXPECT_NE(prom.find("rib_version_apply_ns_count{side=\"local\"} 2\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("rib_version_apply_ns_count{side=\"neighbor\"} 1\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("rib_version_apply_ns_bucket{side=\"neighbor\","
+                      "le=\"+Inf\"} 1\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_EQ(prom.find("rib_version_apply_ns_count 3"), std::string::npos)
+      << "unlabelled series still exported:\n" << prom;
+}
+
 TEST(VersionedUpdater, DrainsQueueInOrderAndMeasuresLatency) {
   VersionedTables4::Options opt;
   VersionedTables4 vt(smallLocal(), smallNeighbor(), opt);

@@ -43,8 +43,13 @@
 #                           steady_allocs at 0 and shard imbalance under an
 #                           absolute ceiling (--max: the baseline values sit
 #                           at/below --min-base, where a relative diff would
-#                           skip), and asserts the counting alloc hook was
-#                           actually compiled in.
+#                           skip), asserts the counting alloc hook was
+#                           actually compiled in, and floors the pipeline's
+#                           rate over the same run's sequential loop
+#                           (--min pps_over_sequential:0.5 — a same-run
+#                           ratio, so host speed cancels; kept out of the
+#                           baseline diff, which would compare it with
+#                           another host's run).
 #  10. multi-router topology  the control-plane suite: sim_run replays the
 #                           topo4 corpus (RIP convergence transients caught
 #                           by the per-hop oracle, gate already rides 6 via
@@ -142,9 +147,10 @@ echo "=== [9/10] throughput smoke (zero-alloc hot path + perf trajectory) ==="
 cmake --build build-ci -j"$(nproc)" --target bench_throughput
 (cd build-ci && ./bench/bench_throughput --smoke)
 python3 tools/metrics_diff.py \
-  --match 'throughput_smoke_' --threshold 5 \
+  --match 'throughput_smoke_(?!pps_over_sequential)' --threshold 5 \
   --max 'throughput_smoke_steady_allocs:0' \
   --max 'throughput_smoke_shard_imbalance:1.6' \
+  --min 'throughput_smoke_pps_over_sequential:0.5' \
   --require-nonzero 'throughput_smoke_alloc_hook_active' \
   bench/BENCH_throughput_smoke_baseline.prom \
   build-ci/BENCH_throughput_smoke.prom

@@ -33,6 +33,13 @@ Usage:
       (a relative diff would skip it — e.g. shard imbalance hovering near
       1.0) or when the bound is a hard contract rather than a trajectory
       (steady_allocs:0). Composes with the two-snapshot diff form.
+  tools/metrics_diff.py --min REGEX:VALUE snapshot.prom   (repeatable)
+      absolute-floor gate, the mirror of --max: every series matching REGEX
+      must be >= VALUE; no matching series at all also fails. For figures
+      where bigger is better and the bound is a hard contract, e.g. a
+      throughput ratio to a sequential reference measured in the same run
+      (throughput_smoke_pps_over_sequential:0.5), which no baseline from
+      another host could gate.
   tools/metrics_diff.py baseline.prom current.prom \\
       --quantile p99:lookup_accesses:10 [--quantile p50:...:5 ...]
       histogram-aware quantile gate: estimates the given quantile from the
@@ -128,33 +135,37 @@ def require_nonzero(cur, pattern):
 
 
 def parse_max_spec(spec):
-    """'regex:3.5' -> ('regex', 3.5). The regex may itself contain colons
-    (label matchers), so the split is on the LAST colon. Raises ValueError."""
+    """'regex:3.5' -> ('regex', 3.5), for --max and --min alike. The regex
+    may itself contain colons (label matchers), so the split is on the LAST
+    colon. Raises ValueError."""
     regex, sep, raw = spec.rpartition(':')
     if not sep or not regex:
-        raise ValueError('bad --max spec %r (want SERIES_REGEX:VALUE)' % spec)
+        raise ValueError('bad bound spec %r (want SERIES_REGEX:VALUE)' % spec)
     try:
         limit = float(raw)
     except ValueError:
-        raise ValueError('bad --max limit in %r (not a number)' % spec)
+        raise ValueError('bad bound in %r (not a number)' % spec)
     return regex, limit
 
 
-def max_gate(cur, specs):
-    """Returns (report_lines, regression_lines) for --max specs: every series
-    matching the regex must be <= the limit; zero matches is a failure."""
+def bound_gate(cur, specs, kind='max'):
+    """Returns (report_lines, regression_lines) for --max (kind 'max') or
+    --min (kind 'min') specs: every series matching the regex must be <=
+    (resp. >=) the bound; zero matches is a failure."""
     report, regressions = [], []
     for spec in specs:
-        regex, limit = parse_max_spec(spec)
+        regex, bound = parse_max_spec(spec)
         rx = re.compile(regex)
         hits = {k: v for k, v in cur.items() if rx.search(k)}
         if not hits:
-            regressions.append('max %s: no series matching the pattern'
-                               % regex)
+            regressions.append('%s %s: no series matching the pattern'
+                               % (kind, regex))
             continue
         for key in sorted(hits):
-            line = 'max     %-60s %g (limit %g)' % (key, hits[key], limit)
-            (regressions if hits[key] > limit else report).append(line)
+            v = hits[key]
+            line = '%-7s %-60s %g (limit %g)' % (kind, key, v, bound)
+            out = v > bound if kind == 'max' else not v >= bound
+            (regressions if out else report).append(line)
     return report, regressions
 
 
@@ -320,15 +331,15 @@ up_total{router="1"} 7 1699999999
     # Absolute ceilings: at/under the limit passes, over fails, no match
     # fails, colons inside the regex survive (split is on the last one).
     snap = {'steady_allocs': 0.0, 'imbalance': 1.31, 'other': 9.0}
-    rep, reg = max_gate(snap, ['steady_allocs:0'])
+    rep, reg = bound_gate(snap, ['steady_allocs:0'], 'max')
     assert reg == [] and len(rep) == 1, (rep, reg)
-    _, reg = max_gate(snap, ['imbalance:1.25'])
+    _, reg = bound_gate(snap, ['imbalance:1.25'], 'max')
     assert len(reg) == 1 and 'imbalance' in reg[0], reg
-    rep, reg = max_gate(snap, ['imbalance:1.6', 'other:10'])
+    rep, reg = bound_gate(snap, ['imbalance:1.6', 'other:10'], 'max')
     assert reg == [] and len(rep) == 2, (rep, reg)
-    _, reg = max_gate(snap, ['no_such_series:5'])
+    _, reg = bound_gate(snap, ['no_such_series:5'], 'max')
     assert len(reg) == 1 and 'no series' in reg[0], reg
-    rep, reg = max_gate({'h_bucket{le="1"}': 2.0}, [r'le="1":3'])
+    rep, reg = bound_gate({'h_bucket{le="1"}': 2.0}, [r'le="1":3'], 'max')
     assert reg == [] and len(rep) == 1, (rep, reg)
     assert parse_max_spec('a:b:3.5') == ('a:b', 3.5)
     for bad in ('nocolon', ':5', 'x:notanum'):
@@ -338,6 +349,26 @@ up_total{router="1"} 7 1699999999
             pass
         else:
             raise AssertionError('accepted bad --max spec %r' % bad)
+
+    # Absolute floors: at/over the floor passes, under fails (NaN too), no
+    # match fails, and a --max spec's colon rule holds for --min.
+    snap = {'pps_over_sequential': 1.9, 'other_ratio': 0.3}
+    rep, reg = bound_gate(snap, ['pps_over_sequential:0.5'], 'min')
+    assert reg == [] and len(rep) == 1 and rep[0].startswith('min'), \
+        (rep, reg)
+    rep, reg = bound_gate(snap, ['pps_over_sequential:1.9'], 'min')
+    assert reg == [] and len(rep) == 1, (rep, reg)
+    _, reg = bound_gate(snap, ['other_ratio:0.5'], 'min')
+    assert len(reg) == 1 and 'other_ratio' in reg[0], reg
+    _, reg = bound_gate(snap, ['ratio:0.5'], 'min')  # one of two hits under
+    assert len(reg) == 1 and 'other_ratio' in reg[0], reg
+    _, reg = bound_gate({'r': float('nan')}, ['r:0.5'], 'min')
+    assert len(reg) == 1, reg
+    _, reg = bound_gate(snap, ['no_such_series:0.5'], 'min')
+    assert len(reg) == 1 and reg[0].startswith('min') and \
+        'no series' in reg[0], reg
+    rep, reg = bound_gate({'h_bucket{le="1"}': 4.0}, [r'le="1":3'], 'min')
+    assert reg == [] and len(rep) == 1, (rep, reg)
 
     hist_worse = dict(hist)
     hist_worse['h_bucket{le="1"}'] = 40.0  # tail mass doubled at p50's level
@@ -379,6 +410,11 @@ def main(argv):
                     help='absolute ceiling: fail when any series matching '
                          'the regex exceeds VALUE in the current (or only) '
                          'snapshot, or when none matches (repeatable)')
+    ap.add_argument('--min', action='append', default=[],
+                    metavar='SERIES_REGEX:VALUE',
+                    help='absolute floor: fail when any series matching '
+                         'the regex is below VALUE in the current (or only) '
+                         'snapshot, or when none matches (repeatable)')
     ap.add_argument('--quantile', action='append', default=[],
                     metavar='pNN:METRIC:MAX_PCT',
                     help='gate on a histogram quantile estimate: fail when '
@@ -390,7 +426,7 @@ def main(argv):
     if args.self_test:
         return self_test()
     # Single-snapshot modes: the one positional is the file to check.
-    if (args.require_nonzero or args.max) and args.baseline \
+    if (args.require_nonzero or args.max or args.min) and args.baseline \
             and not args.current:
         args.baseline, args.current = None, args.baseline
     if not args.current:
@@ -409,16 +445,19 @@ def main(argv):
             return 1
         print('require-nonzero OK: %d series matching %r, nonzero present'
               % (len(hits), args.require_nonzero))
-    if args.max:
+    for kind, specs, word in (('max', args.max, 'over their --max ceiling'),
+                              ('min', args.min, 'under their --min floor')):
+        if not specs:
+            continue
         try:
-            mreport, mregressions = max_gate(cur, args.max)
+            breport, bregressions = bound_gate(cur, specs, kind)
         except ValueError as e:
             ap.error(str(e))
-        for line in mreport:
+        for line in breport:
             print(line)
-        if mregressions:
-            print('%d series over their --max ceiling:' % len(mregressions))
-            for line in mregressions:
+        if bregressions:
+            print('%d series %s:' % (len(bregressions), word))
+            for line in bregressions:
                 print('  ' + line)
             return 1
     if not args.baseline:
