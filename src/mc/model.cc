@@ -478,7 +478,12 @@ class Scheduler {
     }
     f.state = FiberState::kFinished;
     ++store_count_;  // finishing can unblock joiners and futile spinners
-    trace("T" + std::to_string(current_) + " exits");
+    // Built by appends: GCC 12 flags `"T" + std::to_string(...)` with a
+    // false -Wrestrict in Release builds.
+    std::string msg = "T";
+    msg += std::to_string(current_);
+    msg += " exits";
+    trace(msg);
     switchToMainDying(f);
   }
 

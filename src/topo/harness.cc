@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <sstream>
 
 #include "common/check.h"
 #include "core/clue.h"
 #include "core/distributed_lookup.h"
 #include "mem/access_counter.h"
+#include "pipeline/packet_batch.h"
 #include "pipeline/pinned_resolver.h"
 #include "rib/route_updater.h"
 #include "rib/versioned_tables.h"
@@ -115,24 +117,31 @@ HarnessStats runTopoScenario(const TopoScenario& s,
   // Control plane -> data plane: diff this tick's RIP state against each
   // stack's mirrors, enqueue through the updaters, flush so the tick's
   // packets resolve against fully published tables (the harness models
-  // convergence lag in the *protocol*, not in publication).
+  // convergence lag in the *protocol*, not in publication). Most ticks
+  // change nothing, so each table is first compared with its mirror — both
+  // are canonical (Fib's constructor sorts, and a mirror is only ever
+  // assigned a whole table), so one linear compare decides — and only a
+  // table that moved pays for rib::diff.
+  const auto same = [](const Fib4& mirror, const Fib4& next) {
+    return std::ranges::equal(mirror.entries(), next.entries());
+  };
   const auto publishTick = [&] {
     for (RouterId r = 0; r < topo.nodes; ++r) {
       if (stacks[r].empty()) continue;
       const Fib4 fib = rip.fibOf(r);
       const rib::FibDelta<Addr4> local_delta =
-          rib::diff(stacks[r][0]->mirror_local, fib);
+          same(stacks[r][0]->mirror_local, fib)
+              ? rib::FibDelta<Addr4>{}
+              : rib::diff(stacks[r][0]->mirror_local, fib);
       for (auto& st : stacks[r]) {
         if (!local_delta.empty()) {
           st->updater->enqueueLocal(local_delta);
-          rib::applyDelta(st->mirror_local, local_delta);
+          st->mirror_local = fib;
         }
-        const Fib4 view = rip.clueViewOf(r, st->nbr);
-        const rib::FibDelta<Addr4> view_delta =
-            rib::diff(st->mirror_view, view);
-        if (!view_delta.empty()) {
-          st->updater->enqueueNeighbor(view_delta);
-          rib::applyDelta(st->mirror_view, view_delta);
+        Fib4 view = rip.clueViewOf(r, st->nbr);
+        if (!same(st->mirror_view, view)) {
+          st->updater->enqueueNeighbor(rib::diff(st->mirror_view, view));
+          st->mirror_view = std::move(view);
         }
       }
     }
@@ -151,15 +160,29 @@ HarnessStats runTopoScenario(const TopoScenario& s,
   int last_event_tick = 0;
 
   mem::AccessCounter acc;
-  mem::AccessCounter oracle_acc;
 
-  const auto forward = [&](const TopoPacket& pkt) {
+  // Forwards `n` (<= kChunk) copies of one burst as a unit. The copies share
+  // source, destination and entry clue, so within one pinned version they
+  // resolve identically (the §3.5 cache moves access counts, not answers):
+  // each hop is ONE pin, one bindVersion and one processBatch over the
+  // chunk, the copies share the walk's state, and every counter advances by
+  // `n`. The oracle still checks each copy under the pin.
+  constexpr std::size_t kChunk = pipeline::kDefaultBatch;
+  std::array<Addr4, kChunk> dest_buf;
+  std::array<core::ClueField, kChunk> clue_buf;
+  std::array<core::CluePort<Addr4>::Result, kChunk> result_buf;
+  const auto forwardChunk = [&](const TopoPacket& pkt, std::size_t n) {
+    const std::span<const Addr4> dests(dest_buf.data(), n);
+    const std::span<core::ClueField> clues(clue_buf.data(), n);
+    const std::span<core::CluePort<Addr4>::Result> results(result_buf.data(),
+                                                           n);
+    std::fill_n(dest_buf.begin(), n, pkt.dest);
     RouterId at = pkt.src;
     RouterId from = kNoRouter;
     core::ClueField clue = core::ClueField::none();
     int ttl = opt.packet_ttl;
     int hop = 0;
-    ++stats.injected;
+    stats.injected += n;
     for (;;) {
       // Injected packets enter through the router's first port; transit
       // packets through the port facing the hop they arrived on.
@@ -167,73 +190,78 @@ HarnessStats runTopoScenario(const TopoScenario& s,
                       ? (stacks[at].empty() ? nullptr : stacks[at][0].get())
                       : stackOf(at, from);
       if (st == nullptr) {
-        ++stats.no_route_drops;  // isolated router: nothing to look in
+        stats.no_route_drops += n;  // isolated router: nothing to look in
         return;
       }
-      const std::array<Addr4, 1> dests{pkt.dest};
-      const std::array<core::ClueField, 1> clues{clue};
-      std::array<core::CluePort<Addr4>::Result, 1> results;
+      std::fill(clues.begin(), clues.end(), clue);
       st->resolver->resolve(dests, clues, results, acc,
                             [&](const rib::TableVersion<Addr4>* v) {
         CLUERT_CHECK(v != nullptr) << "resolver must be versioned";
-        // Classify the carried clue against this version's neighbor view
-        // (what the control plane has told us the sender holds).
-        sim::Fault cls = sim::Fault::kNone;
-        if (!clue.present) {
-          cls = sim::Fault::kNoClue;
-        } else {
-          const auto view_bmp = v->neighbor_trie.lookup(pkt.dest, oracle_acc);
-          if (!view_bmp || view_bmp->prefix.length() != clue.length) {
-            cls = sim::Fault::kStale;
-            ++stats.stale_clue_hops;
-            if (dirty) {
-              ++stats.stale_during_convergence;
-              if (window_has_link) ++stats.stale_during_flap;
-              if (window_has_withdraw) ++stats.stale_during_withdraw;
+        for (std::size_t i = 0; i < n; ++i) {
+          // Classify the carried clue against this version's neighbor view
+          // (what the control plane has told us the sender holds).
+          sim::Fault cls = sim::Fault::kNone;
+          if (!clues[i].present) {
+            cls = sim::Fault::kNoClue;
+          } else {
+            const auto view_bmp =
+                sim::detail::bruteBmp<Addr4>(v->neighbor.entries(), dests[i]);
+            if (!view_bmp || view_bmp->prefix.length() != clues[i].length) {
+              cls = sim::Fault::kStale;
+              ++stats.stale_clue_hops;
+              if (dirty) {
+                ++stats.stale_during_convergence;
+                if (window_has_link) ++stats.stale_during_flap;
+                if (window_has_withdraw) ++stats.stale_during_withdraw;
+              }
             }
           }
-        }
-        const auto expected =
-            sim::detail::bruteBmp<Addr4>(v->local.entries(), pkt.dest);
-        const bool agree = expected == results[0].match;
-        if (agree) return;
-        if (sim::oracleStrict(cls, s.mode)) {
-          ++stats.strict_mismatches;
-          if (stats.first_mismatch.empty()) {
-            std::ostringstream os;
-            os << "router " << at << " port<-"
-               << (from == kNoRouter ? std::string("inject")
-                                     : std::to_string(from))
-               << " tick " << rip.now() << " dest " << pkt.dest.toString()
-               << " fault " << sim::faultName(cls) << ": expected "
-               << describeMatch(expected) << " got "
-               << describeMatch(results[0].match);
-            stats.first_mismatch = os.str();
+          const auto expected =
+              sim::detail::bruteBmp<Addr4>(v->local.entries(), dests[i]);
+          if (expected == results[i].match) continue;
+          if (sim::oracleStrict(cls, s.mode)) {
+            ++stats.strict_mismatches;
+            if (stats.first_mismatch.empty()) {
+              std::ostringstream os;
+              os << "router " << at << " port<-"
+                 << (from == kNoRouter ? std::string("inject")
+                                       : std::to_string(from))
+                 << " tick " << rip.now() << " dest " << dests[i].toString()
+                 << " fault " << sim::faultName(cls) << ": expected "
+                 << describeMatch(expected) << " got "
+                 << describeMatch(results[i].match);
+              stats.first_mismatch = os.str();
+            }
+          } else {
+            ++stats.advance_stale_divergences;  // classified, safe
           }
-        } else {
-          ++stats.advance_stale_divergences;  // classified, safe
         }
       });
+      const auto& r = results[0];
+      CLUERT_CHECK(std::ranges::all_of(results, [&](const auto& x) {
+        return x.match == r.match && x.outcome == r.outcome;
+      })) << "copies of one burst resolved differently at router " << at
+          << " dest " << pkt.dest.toString();
       const std::size_t bucket = std::min<std::size_t>(
           static_cast<std::size_t>(hop), HarnessStats::kMaxHopBuckets - 1);
-      ++stats.lookups_by_hop[bucket];
-      if (results[0].outcome == obs::Outcome::kCase1) {
-        ++stats.case1_hits;
-        ++stats.case1_by_hop[bucket];
+      stats.lookups_by_hop[bucket] += n;
+      if (r.outcome == obs::Outcome::kCase1) {
+        stats.case1_hits += n;
+        stats.case1_by_hop[bucket] += n;
       }
-      if (!results[0].match) {
-        ++stats.no_route_drops;
+      if (!r.match) {
+        stats.no_route_drops += n;
         return;
       }
-      const RouterId nh = results[0].match->next_hop;
+      const RouterId nh = r.match->next_hop;
       if (nh == at) {
-        ++stats.delivered;  // originated here
+        stats.delivered += n;  // originated here
         return;
       }
       if (!topo.hasLink(at, nh)) {
         // A FIB can only ever point at a real adjacency; anything else is
         // corrupt state, not a transient.
-        ++stats.strict_mismatches;
+        stats.strict_mismatches += n;
         if (stats.first_mismatch.empty()) {
           stats.first_mismatch = "router " + std::to_string(at) +
                                  " resolved non-adjacent next hop " +
@@ -242,21 +270,21 @@ HarnessStats runTopoScenario(const TopoScenario& s,
         return;
       }
       if (!topo.linkUp(at, nh)) {
-        ++stats.down_link_drops;  // transient: FIB not yet reconverged
+        stats.down_link_drops += n;  // transient: FIB not yet reconverged
         return;
       }
       if (--ttl <= 0) {
-        ++stats.ttl_drops;  // routing loop during a transient
+        stats.ttl_drops += n;  // routing loop during a transient
         return;
       }
       // Re-stamp the clue with this router's matched BMP (§3.2: each hop
       // sends its own best match), then hand off.
-      const int len = results[0].match->prefix.length();
+      const int len = r.match->prefix.length();
       clue = len > 0 ? core::ClueField::of(len) : core::ClueField::none();
       from = at;
       at = nh;
       ++hop;
-      ++stats.forwarded_hops;
+      stats.forwarded_hops += n;
     }
   };
 
@@ -307,8 +335,11 @@ HarnessStats runTopoScenario(const TopoScenario& s,
       }
     }
     for (; pi < s.packets.size() && s.packets[pi].tick <= t; ++pi) {
-      for (std::uint32_t k = 0; k < s.packets[pi].count; ++k) {
-        forward(s.packets[pi]);
+      const TopoPacket& pkt = s.packets[pi];
+      for (std::uint32_t sent = 0; sent < pkt.count;) {
+        const std::size_t n = std::min<std::size_t>(kChunk, pkt.count - sent);
+        forwardChunk(pkt, n);
+        sent += static_cast<std::uint32_t>(n);
       }
     }
   }

@@ -2,18 +2,28 @@
 // TopoScenario with a full versioned data plane per router — every (router,
 // static-edge neighbor) port owns a rib::VersionedTables +
 // pipeline::PinnedResolver stack, the RIP control plane's per-tick FIB and
-// clue-view movements become FibDeltas fed through rib::RouteUpdater, and
-// packets hop router to router carrying the clue the previous hop stamped.
+// clue-view movements become FibDeltas fed through rib::RouteUpdater (only
+// for tables that moved that tick), and packets hop router to router
+// carrying the clue the previous hop stamped.
 //
-// The oracle runs per hop, inside the resolver's under_guard while the pin
-// is held (the same rule the netio datapath follows — an unpinned check
-// could race a swap):
+// A burst of `count` copies travels in chunks of up to
+// pipeline::kDefaultBatch copies; a chunk crosses each hop as ONE
+// PinnedResolver::resolve (one pin, one rebind, one processBatch). Its
+// copies share source, destination and entry clue, so they must resolve
+// identically — a CLUERT_CHECK holds them to it — and the chunk moves as a
+// unit, every counter advancing by its size.
+//
+// The oracle runs per copy, per hop, inside the resolver's under_guard
+// while the pin is held (the same rule the netio datapath follows — an
+// unpinned check could race a swap):
 //   * brute-force BMP over the pinned version's local table must agree with
 //     the port's answer whenever the fault matrix says strict;
-//   * the carried clue is classified against the pinned version's neighbor
-//     view: absent -> kNoClue, matching BMP -> kNone, anything else ->
-//     kStale (the view lags the sender by the control plane's message
-//     delay, so convergence windows produce genuine stale clues);
+//   * the carried clue is classified by brute-force BMP over the pinned
+//     version's neighbor view (the Fib, not the trie Advance's Claim-1
+//     annotation reads): absent -> kNoClue, matching BMP -> kNone,
+//     anything else -> kStale (the view lags the sender by the control
+//     plane's message delay, so convergence windows produce genuine stale
+//     clues);
 //   * Advance-mode stale divergences are counted, never fatal —
 //     misrouted-but-safe, exactly the §3.1.2 robustness contract — while
 //     Simple mode is held strict under every clue.

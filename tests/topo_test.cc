@@ -275,6 +275,44 @@ TEST(Topo, HarnessIsDeterministic) {
   EXPECT_EQ(a.convergence_samples, b.convergence_samples);
 }
 
+// The harness forwards a burst in chunks of up to pipeline::kDefaultBatch
+// copies, each crossing a hop as one pinned batch with the oracle run per
+// copy. Bursts of 100 (three full chunks and a tail) must leave exactly the
+// stats of the same scenario with every burst expanded into single-copy
+// packets — through a flap and a withdraw, on two shapes, in both modes.
+TEST(TopoHarness, BurstEqualsSingleCopies) {
+  constexpr std::uint32_t kBurst = 100;
+  for (const Shape shape : {Shape::kRing, Shape::kLine}) {
+    for (const auto mode :
+         {lookup::ClueMode::kSimple, lookup::ClueMode::kAdvance}) {
+      SCOPED_TRACE(std::string(shapeName(shape)) + " " +
+                   std::string(lookup::clueModeName(mode)));
+      TopoScenario burst = smokeScenario(shape, mode);
+      TopoScenario single = burst;
+      single.packets.clear();
+      for (TopoPacket& p : burst.packets) {
+        p.count = kBurst;
+        for (std::uint32_t k = 0; k < kBurst; ++k) {
+          single.packets.push_back(TopoPacket{p.tick, p.src, p.dest, 1});
+        }
+      }
+      HarnessOptions opt;
+      opt.rip = fastRip();
+      const HarnessStats a = runTopoScenario(burst, opt);
+      const HarnessStats b = runTopoScenario(single, opt);
+      EXPECT_TRUE(a.ok()) << a.summary() << "\n" << a.first_mismatch;
+      EXPECT_EQ(a.injected, kBurst * burst.packets.size());
+      // The per-copy oracle must have had stale clues to count.
+      EXPECT_GT(a.stale_clue_hops, 0u) << a.summary();
+      EXPECT_EQ(a.summary(), b.summary());
+      EXPECT_EQ(a.lookups_by_hop, b.lookups_by_hop);
+      EXPECT_EQ(a.case1_by_hop, b.case1_by_hop);
+      EXPECT_EQ(a.version_changes, b.version_changes);
+      EXPECT_EQ(a.first_mismatch, b.first_mismatch);
+    }
+  }
+}
+
 TEST(Topo, HarnessAllShapesSmoke) {
   for (std::size_t i = 0; i < kShapeCount; ++i) {
     TopoScenario s = generateTopoScenario(100 + i);

@@ -58,7 +58,11 @@
 #                           per-publish validation and zero-strict-mismatch
 #                           gating, metrics_diff.py --require-nonzero
 #                           asserts the storm actually forwarded, flapped,
-#                           and reconverged, and topo_run.sh drives the star
+#                           and reconverged, --exact pins every
+#                           topo_smoke_* counter to the committed
+#                           bench/BENCH_topo_smoke_baseline.prom (the
+#                           smoke is deterministic, so any drift is a
+#                           behaviour change), and topo_run.sh drives the star
 #                           and ring daemon topologies with per-peer counter
 #                           conservation.
 #
@@ -163,6 +167,12 @@ echo "=== [10/10] multi-router topology (flap storm + daemon shapes) ==="
 # converging would otherwise still "pass".
 cmake --build build-ci -j"$(nproc)" --target bench_topo
 (cd build-ci && ./bench/bench_topo --smoke)
+# The smoke's scenario is fixed and the harness deterministic, so every
+# topo_smoke_* counter (hops, drops, stale clues, case-1 hits, publishes,
+# convergence samples) must equal the committed baseline exactly: a change
+# that moves any of them changes forwarding behaviour, not its speed.
+python3 tools/metrics_diff.py --exact '^topo_smoke_' \
+  bench/BENCH_topo_smoke_baseline.prom build-ci/BENCH_topo_smoke.prom
 # --require-nonzero is at-least-one semantics, so each liveness counter gets
 # its own invocation; the strict-mismatch ceiling rides the first.
 for series in topo_smoke_forwarded_hops topo_smoke_delivered \

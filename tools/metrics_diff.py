@@ -40,6 +40,14 @@ Usage:
       throughput ratio to a sequential reference measured in the same run
       (throughput_smoke_pps_over_sequential:0.5), which no baseline from
       another host could gate.
+  tools/metrics_diff.py baseline.prom current.prom --exact REGEX
+                                                              (repeatable)
+      exact-equality gate for deterministic counters: every series
+      matching REGEX on either side must be present on both with the same
+      value; no matching series at all also fails. Unlike --threshold it
+      covers zero baselines (a strict-mismatch count that must stay 0) and
+      vanished series. Used by tools/ci.sh on the topology smoke, whose
+      counters are a pure function of its fixed scenario.
   tools/metrics_diff.py baseline.prom current.prom \\
       --quantile p99:lookup_accesses:10 [--quantile p50:...:5 ...]
       histogram-aware quantile gate: estimates the given quantile from the
@@ -166,6 +174,29 @@ def bound_gate(cur, specs, kind='max'):
             line = '%-7s %-60s %g (limit %g)' % (kind, key, v, bound)
             out = v > bound if kind == 'max' else not v >= bound
             (regressions if out else report).append(line)
+    return report, regressions
+
+
+def exact_gate(base, cur, patterns):
+    """Returns (report_lines, regression_lines) for --exact patterns: every
+    series matching a regex on either side must hold the same value on both
+    (zero baselines included; NaN never equals); zero matches is a
+    failure."""
+    report, regressions = [], []
+    for pattern in patterns:
+        rx = re.compile(pattern)
+        keys = sorted(k for k in set(base) | set(cur) if rx.search(k))
+        if not keys:
+            regressions.append('exact %s: no series matching the pattern'
+                               % pattern)
+            continue
+        for key in keys:
+            b, c = base.get(key), cur.get(key)
+            line = 'exact   %-60s %s -> %s' % (
+                key, 'absent' if b is None else '%g' % b,
+                'absent' if c is None else '%g' % c)
+            same = b is not None and c is not None and b == c
+            (report if same else regressions).append(line)
     return report, regressions
 
 
@@ -379,6 +410,31 @@ up_total{router="1"} 7 1699999999
     _, reg = quantile_gate(hist, hist, ['p50:nope:10'])
     assert len(reg) == 1 and 'missing histogram' in reg[0], reg
 
+    # Exact equality: zero baselines gate (a relative diff skips them),
+    # a one-sided series fails, NaN never matches, no match fails.
+    base = {'hops': 120.0, 'strict': 0.0, 'other': 1.0}
+    rep, reg = exact_gate(base, dict(base), ['^(hops|strict)$'])
+    assert reg == [] and len(rep) == 2, (rep, reg)
+    _, reg = exact_gate(base, {'hops': 120.0, 'strict': 1.0}, ['^strict$'])
+    assert len(reg) == 1 and 'strict' in reg[0], reg
+    _, reg = exact_gate(base, {'hops': 121.0, 'strict': 0.0}, ['^hops$'])
+    assert len(reg) == 1 and '120 -> 121' in reg[0], reg
+    _, reg = exact_gate(base, {'hops': 120.0}, ['^(hops|strict)$'])
+    assert len(reg) == 1 and 'strict' in reg[0] and 'absent' in reg[0], reg
+    _, reg = exact_gate(base, dict(base, extra=0.0), ['^(hops|extra)$'])
+    assert len(reg) == 1 and 'extra' in reg[0], reg
+    _, reg = exact_gate({'r': float('nan')}, {'r': float('nan')}, ['^r$'])
+    assert len(reg) == 1, reg
+    _, reg = exact_gate(base, dict(base), ['^no_such_series$'])
+    assert len(reg) == 1 and 'no series' in reg[0], reg
+    _, reg = exact_gate(base, dict(base), ['^hops$', '^nope$'])
+    assert len(reg) == 1 and 'nope' in reg[0], reg
+    # The relative diff cannot express this gate: it skips the zero
+    # baseline even at --threshold 0 --min-base 0.
+    _, diffreg = diff(base, {'hops': 120.0, 'strict': 3.0, 'other': 1.0},
+                      0.0, 'both', 0.0, None)
+    assert diffreg == [], diffreg
+
     try:
         parse('!!! not a metric')
     except ValueError:
@@ -420,6 +476,11 @@ def main(argv):
                     help='gate on a histogram quantile estimate: fail when '
                          'pNN of METRIC regressed more than MAX_PCT percent '
                          'vs the baseline (repeatable)')
+    ap.add_argument('--exact', action='append', default=[],
+                    metavar='REGEX',
+                    help='fail unless every series matching REGEX holds the '
+                         'same value in both snapshots, or when none '
+                         'matches (repeatable)')
     ap.add_argument('--self-test', action='store_true')
     args = ap.parse_args(argv)
 
@@ -474,6 +535,16 @@ def main(argv):
             ap.error(str(e))
         report += qreport
         regressions += qregressions
+    ereport, eregressions = exact_gate(base, cur, args.exact)
+    report += ereport
+    if eregressions:
+        for line in report:
+            print(line)
+        print('\n%d series differ from the baseline under --exact:'
+              % len(eregressions))
+        for line in eregressions:
+            print('  ' + line)
+        return 1
     for line in report:
         print(line)
     if regressions:
